@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     RankDeficiencyError,
     UnsupportedInputError,
-    UnsupportedKError,
     UnusableDataError,
 )
 from .estimators import (
@@ -57,11 +56,9 @@ from .metrics import (
     NodeClassification,
     classify_nodes,
     estimate_k,
-    hamming_error,
     membership_errors,
     q_fmean,
     q_fsum,
-    relative_error,
 )
 from .model import (
     ConnectivityStack,

@@ -46,13 +46,16 @@ class Embedding:
         return self.vectors.shape[1]
 
 
-def _layers(net) -> np.ndarray:
-    return net.layers
+def _square_sum(layers: np.ndarray) -> np.ndarray:
+    out = np.zeros((layers.shape[1], layers.shape[1]))
+    for a in layers:
+        out += a @ a
+    return out
 
 
 def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Entrywise sum of all layers."""
-    return AggregateMatrix(matrix=_layers(net).sum(axis=0), kind=SUM)
+    return AggregateMatrix(matrix=net.layers.sum(axis=0), kind=SUM)
 
 
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
@@ -66,22 +69,16 @@ def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
         raise UnsupportedInputError(
             "debiased sum of squares requires binary layers"
         )
-    layers = _layers(net)
-    out = np.zeros((net.n, net.n))
-    for a in layers:
-        sq = a @ a
-        sq[np.diag_indices_from(sq)] -= a.sum(axis=1)
-        out += sq
+    # binary layers keep every sum an exact integer, so subtracting the summed
+    # degrees once gives the same bits as subtracting them layer by layer
+    out = _square_sum(net.layers)
+    out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2))
     return AggregateMatrix(matrix=out, kind=DEBIASED_SOS)
 
 
 def build_sos(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Plain sum of squared layers (no bias removal)."""
-    layers = _layers(net)
-    out = np.zeros((layers.shape[1], layers.shape[1]))
-    for a in layers:
-        out += a @ a
-    return AggregateMatrix(matrix=out, kind=SOS)
+    return AggregateMatrix(matrix=_square_sum(net.layers), kind=SOS)
 
 
 def _order_by_magnitude(values: np.ndarray) -> np.ndarray:
@@ -110,37 +107,26 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     n = agg.n
     if not (1 <= K <= n):
         raise DimensionError(f"K={K} out of range for n={n}")
-    notes: list[str] = []
     if n <= DENSE_EIG_LIMIT:
         values, vectors = np.linalg.eigh(agg.matrix)
-        order = _order_by_magnitude(values)
-        kept = order[:K]
-        top_vals = values[kept]
-        top_vecs = vectors[:, kept]
-        if K < n:
-            gap = abs(abs(values[order[K - 1]]) - abs(values[order[K]]))
-            scale = max(abs(values[order[0]]), 1e-300)
-            if gap <= 1e-10 * scale:
-                notes.append(
-                    "eigenvalue magnitude tie across the K/K+1 boundary; "
-                    "embedding is not uniquely determined"
-                )
     else:
-        k_solve = min(K + 1, n - 1)
+        # a fixed start vector keeps ARPACK independent of earlier calls
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         values, vectors = scipy.sparse.linalg.eigsh(
-            agg.matrix, k=k_solve, which="LM", tol=1e-10
+            agg.matrix, k=min(K + 1, n - 1), which="LM", tol=1e-10, v0=v0
         )
-        order = _order_by_magnitude(values)
-        top_vals = values[order[:K]]
-        top_vecs = vectors[:, order[:K]]
-        if k_solve > K:
-            gap = abs(abs(values[order[K - 1]]) - abs(values[order[K]]))
-            scale = max(abs(values[order[0]]), 1e-300)
-            if gap <= 1e-10 * scale:
-                notes.append(
-                    "eigenvalue magnitude tie across the K/K+1 boundary; "
-                    "embedding is not uniquely determined"
-                )
+    order = _order_by_magnitude(values)
+    top_vals = values[order[:K]]
+    top_vecs = vectors[:, order[:K]]
+    notes: list[str] = []
+    if len(values) > K:
+        gap = abs(abs(values[order[K - 1]]) - abs(values[order[K]]))
+        scale = max(abs(values[order[0]]), 1e-300)
+        if gap <= 1e-10 * scale:
+            notes.append(
+                "eigenvalue magnitude tie across the K/K+1 boundary; "
+                "embedding is not uniquely determined"
+            )
     return Embedding(
         vectors=_fix_signs(top_vecs),
         eigenvalues=np.asarray(top_vals, dtype=float),

@@ -25,10 +25,6 @@ class IllConditionedCornerError(MlmmsbError, ValueError):
     """Corner matrix too ill-conditioned to invert reliably."""
 
 
-class UnsupportedKError(MlmmsbError, ValueError):
-    """Community count exceeds the brute-force permutation limit."""
-
-
 class EmptyNetworkError(MlmmsbError, ValueError):
     """Network has no edges where at least one is required."""
 

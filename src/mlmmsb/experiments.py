@@ -11,7 +11,7 @@ execution order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +34,9 @@ SWEEP_N0 = "n0"
 
 SWEEP_AXES = (SWEEP_RHO, SWEEP_L, SWEEP_N, SWEEP_N0)
 
+# sweeping n scales the pure nodes with the network: n0 = n // N_SWEEP_PURE_DIVISOR
+N_SWEEP_PURE_DIVISOR = 4
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -47,9 +50,6 @@ class ExperimentConfig:
     repetitions: int = 100
     base_seed: int = 0
     methods: tuple[str, ...] = METHODS
-    # n0 = n // pure_fraction_divisor when sweeping n (the n sweep scales
-    # pure nodes with network size)
-    pure_divisor_for_n_sweep: int = 4
 
     def __post_init__(self):
         if self.sweep not in SWEEP_AXES:
@@ -77,7 +77,7 @@ class ExperimentConfig:
             L = int(value)
         elif self.sweep == SWEEP_N:
             n = int(value)
-            n0 = n // self.pure_divisor_for_n_sweep
+            n0 = n // N_SWEEP_PURE_DIVISOR
         else:
             n0 = int(value)
         return n, L, rho, n0
@@ -266,7 +266,5 @@ def preset(name: str, base_seed: int | None = None, repetitions: int | None = No
     if repetitions is not None:
         updates["repetitions"] = int(repetitions)
     if updates:
-        from dataclasses import replace
-
         cfg = replace(cfg, **updates)
     return cfg

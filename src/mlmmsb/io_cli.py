@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,6 +103,11 @@ def read_multiplex_edges(
                         f"line {lineno}: non-numeric field in {text!r}",
                         line_number=lineno,
                     ) from exc
+                if not math.isfinite(weight):
+                    raise ParseError(
+                        f"line {lineno}: weight must be finite, got {parts[3]!r}",
+                        line_number=lineno,
+                    )
                 if layer < 1 or u < 1 or v < 1:
                     raise ParseError(
                         f"line {lineno}: ids must be 1-based positive integers",
@@ -485,8 +490,6 @@ def _cmd_experiment(args) -> int:
     else:
         cfg = _parse_config_file(args.config)
         if args.seed is not None or args.reps is not None:
-            from dataclasses import replace
-
             updates = {}
             if args.seed is not None:
                 updates["base_seed"] = args.seed

@@ -3,23 +3,21 @@ node-purity indices, and modularity-based community-count selection."""
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import (
     DimensionError,
     EmptyLayerWarning,
     EmptyNetworkError,
     ModelSelectionError,
-    UnsupportedKError,
 )
 from .estimators import estimator
 from .model import MembershipMatrix, MultiLayerNetwork
-
-MAX_BRUTE_FORCE_K = 8
 
 HIGHLY_MIXED = "HIGHLY_MIXED"
 NEUTRAL = "NEUTRAL"
@@ -43,41 +41,34 @@ class ErrorReport:
     best_permutation: tuple[int, ...]
 
 
-def _check_pair(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> None:
-    if pi_hat.n != pi_true.n or pi_hat.K != pi_true.K:
-        raise DimensionError("membership matrices must share n and K")
-    if pi_hat.K > MAX_BRUTE_FORCE_K:
-        raise UnsupportedKError(
-            f"brute-force permutation search supports K <= {MAX_BRUTE_FORCE_K}"
-        )
+def _optimal_assignment(cost: np.ndarray) -> np.ndarray:
+    """Permutation p minimizing sum_j cost[j, p[j]] for a square cost >= 0."""
+    # the matcher reads zero entries as missing edges; a constant shift keeps
+    # every pair an edge and moves every full matching's weight by the same K
+    return min_weight_full_bipartite_matching(csr_array(cost + 1.0))[1]
 
 
 def membership_errors(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> ErrorReport:
-    """Hamming and relative error, each minimized over all column permutations."""
-    _check_pair(pi_hat, pi_true)
-    n, K = pi_true.n, pi_true.K
+    """Hamming and relative error, each minimized over all column permutations.
+
+    Both costs split into a sum over matched column pairs, so each minimum is
+    one optimal assignment on a K x K cost matrix. Among several optimal
+    permutations, the one the assignment solver returns is reported.
+    """
+    if pi_hat.n != pi_true.n or pi_hat.K != pi_true.K:
+        raise DimensionError("membership matrices must share n and K")
+    n = pi_true.n
     h = pi_hat.rows
     t = pi_true.rows
-    best_ham = np.inf
-    best_rel = np.inf
-    best_perm: tuple[int, ...] = tuple(range(K))
-    for perm in itertools.permutations(range(K)):
-        diff = h - t[:, perm]
-        ham = float(np.abs(diff).sum()) / n
-        rel = float(np.linalg.norm(diff)) / float(np.linalg.norm(t))
-        if ham < best_ham:
-            best_ham = ham
-            best_perm = perm
-        best_rel = min(best_rel, rel)
-    return ErrorReport(hamming=best_ham, relative=best_rel, best_permutation=best_perm)
-
-
-def hamming_error(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> ErrorReport:
-    return membership_errors(pi_hat, pi_true)
-
-
-def relative_error(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> ErrorReport:
-    return membership_errors(pi_hat, pi_true)
+    # pair[:, j, k] compares column j of pi_hat with column k of pi_true
+    pair = h[:, :, None] - t[:, None, :]
+    ham_perm = _optimal_assignment(np.abs(pair).sum(axis=0))
+    rel_perm = _optimal_assignment((pair**2).sum(axis=0))
+    return ErrorReport(
+        hamming=float(np.abs(h - t[:, ham_perm]).sum()) / n,
+        relative=float(np.linalg.norm(h - t[:, rel_perm])) / float(np.linalg.norm(t)),
+        best_permutation=tuple(int(k) for k in ham_perm),
+    )
 
 
 def _fuzzy_modularity(adj: np.ndarray, pi_rows: np.ndarray) -> float:
@@ -176,10 +167,8 @@ def estimate_k(
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
         raise ModelSelectionError("empty candidate range")
-    if k_values[0] < 1 or k_values[-1] > min(net.n, MAX_BRUTE_FORCE_K):
-        raise ModelSelectionError(
-            f"candidates must lie in [1, {min(net.n, MAX_BRUTE_FORCE_K)}]"
-        )
+    if k_values[0] < 1 or k_values[-1] > net.n:
+        raise ModelSelectionError(f"candidates must lie in [1, {net.n}]")
     crit = criterion.upper()
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")

@@ -14,7 +14,7 @@ from mlmmsb import (
     generate_membership,
     top_k_eigen,
 )
-from mlmmsb.aggregate import AggregateMatrix
+from mlmmsb.aggregate import DENSE_EIG_LIMIT, AggregateMatrix
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -125,6 +125,17 @@ class TestTopKEigen:
     def test_degeneracy_warning_on_boundary_tie(self):
         emb = top_k_eigen(AggregateMatrix(np.diag([2.0, -2.0, 1.0]), "SUM"), 1)
         assert emb.warnings
+
+    def test_lanczos_path_repeatable(self):
+        rng = np.random.default_rng(12)
+        n = DENSE_EIG_LIMIT + 52
+        x = rng.standard_normal((n, 3))
+        noise = rng.standard_normal((n, n))
+        agg = AggregateMatrix(x @ np.diag([40.0, -30.0, 20.0]) @ x.T + noise + noise.T, "SUM")
+        first = top_k_eigen(agg, 3)
+        second = top_k_eigen(agg, 3)
+        assert np.array_equal(first.vectors, second.vectors)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(6)

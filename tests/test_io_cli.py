@@ -54,6 +54,15 @@ class TestEdgeListParsing:
             read_multiplex_edges(path)
         assert info.value.line_number == 2
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("binarize", [True, False])
+    def test_non_finite_weight_reports_number(self, tmp_path, weight, binarize):
+        path = tmp_path / "net.edges"
+        path.write_text(f"1 1 2\n1 2 3 {weight}\n")
+        with pytest.raises(ParseError) as info:
+            read_multiplex_edges(path, binarize=binarize)
+        assert info.value.line_number == 2
+
     def test_empty_file_errors(self, tmp_path):
         path = tmp_path / "net.edges"
         path.write_text("# nothing\n")
@@ -198,6 +207,17 @@ class TestCli:
         )
         assert code == 2
         assert "DimensionError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_exit_2(self, tmp_path, capsys, weight):
+        path = tmp_path / "w.edges"
+        path.write_text(f"1 1 2\n1 2 3\n1 1 3 {weight}\n")
+        code = cli_main(
+            ["estimate", "--data", str(path), "--k", "2", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "ParseError" in capsys.readouterr().err
+        assert not (tmp_path / "membership.csv").exists()
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         code = cli_main(

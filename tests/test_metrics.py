@@ -12,7 +12,6 @@ from mlmmsb import (
     MembershipMatrix,
     ModelSelectionError,
     MultiLayerNetwork,
-    UnsupportedKError,
     classify_nodes,
     estimate_k,
     membership_errors,
@@ -77,13 +76,16 @@ class TestPermutationErrors:
         pi_hat = pure([0, 1, 1, 1], 2)  # one of four nodes wrong
         assert membership_errors(pi_hat, pi_true).hamming == pytest.approx(2 * 0.25)
 
-    def test_k_above_limit_rejected(self):
-        pi = MembershipMatrix(rows=np.eye(9))
-        with pytest.raises(UnsupportedKError):
-            membership_errors(pi, pi)
+    def test_k9_shuffled_columns_match_exactly(self):
+        rng = np.random.default_rng(9)
+        t = MembershipMatrix(rows=rng.dirichlet(np.ones(9), size=40))
+        shuffled = MembershipMatrix(rows=t.rows[:, rng.permutation(9)])
+        report = membership_errors(shuffled, t)
+        assert report.hamming == 0
+        assert report.relative == 0
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), K=st.integers(2, 4))
+    @given(seed=st.integers(0, 10_000), K=st.integers(2, 9))
     def test_invariant_under_column_shuffles(self, seed, K):
         rng = np.random.default_rng(seed)
         t = MembershipMatrix(rows=rng.dirichlet(np.ones(K), size=10))
@@ -94,6 +96,20 @@ class TestPermutationErrors:
         report = membership_errors(shuffled, t)
         assert report.hamming == pytest.approx(base.hamming, abs=1e-12)
         assert report.relative == pytest.approx(base.relative, abs=1e-12)
+
+    def test_relative_matches_brute_force(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            K = int(rng.integers(1, 7))
+            n = int(rng.integers(2, 25))
+            t = rng.dirichlet(np.ones(K), size=n)
+            h = rng.dirichlet(np.ones(K), size=n)
+            expected = min(
+                np.linalg.norm(h - t[:, list(perm)])
+                for perm in itertools.permutations(range(K))
+            ) / np.linalg.norm(t)
+            report = membership_errors(MembershipMatrix(rows=h), MembershipMatrix(rows=t))
+            assert report.relative == pytest.approx(expected, abs=1e-12)
 
     def test_invariant_under_row_permutation(self):
         rng = np.random.default_rng(7)
@@ -214,6 +230,12 @@ class TestEstimateK:
         for criterion in ("FSUM", "FMEAN"):
             selection = estimate_k(net, "spsum", range(1, 6), criterion)
             assert selection.best_k == 2
+
+    def test_candidates_above_eight_allowed(self):
+        net = self.planted_two_block()
+        selection = estimate_k(net, "spsum", [2, 9])
+        assert 9 in selection.scores or 9 in selection.failures
+        assert selection.best_k in selection.scores
 
     def test_all_failures_raise(self):
         net = MultiLayerNetwork(layers=np.zeros((1, 5, 5)))
