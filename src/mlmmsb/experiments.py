@@ -21,7 +21,6 @@ from .metrics import membership_errors
 from .model import (
     ExpectationStack,
     MultiLayerNetwork,
-    expected_adjacency,
     generate_connectivity,
     generate_membership,
     sample_mlmmsb,

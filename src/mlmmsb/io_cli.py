@@ -132,10 +132,7 @@ def read_multiplex_edges(
         if i != j:
             layers[layer - 1, j, i] += weight
     if binarize:
-        layers = (layers > 0).astype(float)
-    else:
-        # symmetrize any asymmetric accumulation from directed listings
-        layers = 0.5 * (layers + layers.transpose(0, 2, 1))
+        np.copyto(layers, layers > 0)
     net = MultiLayerNetwork(layers=layers, allow_self_loops=not drop_self_loops)
     return MultiplexData(network=net, node_ids=ordered)
 
@@ -206,11 +203,18 @@ def read_membership_csv(path) -> MembershipMatrix:
         if len(parts) < 1 + k:
             raise ParseError(f"line {lineno}: too few columns", line_number=lineno)
         try:
-            rows.append([float(x) for x in parts[1 : 1 + k]])
+            weights = [float(x) for x in parts[1 : 1 + k]]
         except ValueError as exc:
             raise ParseError(
                 f"line {lineno}: non-numeric membership weight", line_number=lineno
             ) from exc
+        total = sum(weights)
+        if not (math.isfinite(total) and total > 0):
+            raise ParseError(
+                f"line {lineno}: membership weights must have a positive finite sum",
+                line_number=lineno,
+            )
+        rows.append(weights)
     arr = np.array(rows)
     arr = arr / arr.sum(axis=1, keepdims=True)
     return MembershipMatrix(rows=arr)

@@ -105,11 +105,16 @@ class MultiLayerNetwork:
         object.__setattr__(self, "layers", layers)
         if layers.ndim != 3 or layers.shape[1] != layers.shape[2]:
             raise DimensionError("network must have shape (L, n, n)")
-        if np.max(np.abs(layers - layers.transpose(0, 2, 1)), initial=0.0) > 0:
-            raise ConfigError("every layer must be symmetric")
-        if np.any(layers < 0):
-            raise ConfigError("adjacency entries must be nonnegative")
-        is_binary = bool(np.all((layers == 0) | (layers == 1)))
+        # one layer at a time, so the temporaries stay n x n
+        is_binary = True
+        for a in layers:
+            if not np.isfinite(a).all():
+                raise ConfigError("adjacency entries must be finite")
+            if not np.array_equal(a, a.T):
+                raise ConfigError("every layer must be symmetric")
+            if (a < 0).any():
+                raise ConfigError("adjacency entries must be nonnegative")
+            is_binary = is_binary and bool(((a == 0) | (a == 1)).all())
         object.__setattr__(self, "binary", is_binary)
 
     @property
@@ -137,15 +142,25 @@ class ExpectationStack:
         return self.layers.shape[0]
 
 
-def expected_adjacency(pi: MembershipMatrix, conn: ConnectivityStack) -> ExpectationStack:
-    """Edge-probability stack with layer l equal to rho * Pi @ B_l @ Pi.T."""
+def _check_k(pi: MembershipMatrix, conn: ConnectivityStack) -> None:
     if pi.K != conn.K:
         raise DimensionError(
             f"membership has K={pi.K} but connectivity has K={conn.K}"
         )
-    omega = conn.rho * np.einsum("ik,lkm,jm->lij", pi.rows, conn.matrices, pi.rows)
-    # enforce exact symmetry against einsum round-off
-    omega = 0.5 * (omega + omega.transpose(0, 2, 1))
+
+
+def _layer_expectation(pi: MembershipMatrix, b: np.ndarray, rho: float) -> np.ndarray:
+    """rho * Pi @ B_l @ Pi.T for one layer, symmetrised exactly against round-off."""
+    w = rho * (pi.rows @ b @ pi.rows.T)
+    return 0.5 * (w + w.T)
+
+
+def expected_adjacency(pi: MembershipMatrix, conn: ConnectivityStack) -> ExpectationStack:
+    """Edge-probability stack with layer l equal to rho * Pi @ B_l @ Pi.T."""
+    _check_k(pi, conn)
+    omega = np.empty((conn.L, pi.n, pi.n))
+    for l, b in enumerate(conn.matrices):
+        omega[l] = _layer_expectation(pi, b, conn.rho)
     return ExpectationStack(layers=omega, rho=conn.rho)
 
 
@@ -163,13 +178,15 @@ def sample_mlmmsb(
     """Draw a multi-layer network with independent Bernoulli edges per layer.
 
     Upper-triangular entries (including the diagonal unless self-loops are
-    disabled) are drawn independently and mirrored. Deterministic given
-    ``seed``; layer l uses its own derived stream so layers are independent.
+    disabled) are drawn independently in row-major order and mirrored.
+    Deterministic given ``seed``; layer l uses its own derived stream so
+    layers are independent. Edge probabilities are computed one layer at a
+    time; the (L, n, n) expectation stack is never held.
     """
     if pi.n < pi.K:
         raise ConfigError("need at least K nodes")
-    omega = expected_adjacency(pi, conn)
-    n, L = omega.n, omega.L
+    _check_k(pi, conn)
+    n, L = pi.n, conn.L
     lam_k = np.linalg.eigvalsh(conn.matrices.sum(axis=0))
     lam_k = lam_k[np.argsort(np.abs(lam_k))[::-1]]
     if abs(lam_k[min(pi.K, len(lam_k)) - 1]) < 1e-8 * conn.L:
@@ -178,13 +195,14 @@ def sample_mlmmsb(
             "spectral recovery may be unreliable",
             DegeneracyWarning,
         )
-    iu = np.triu_indices(n, k=0 if allow_self_loops else 1)
+    # a boolean mask selects in the same row-major order as triu_indices
+    upper = np.triu(np.ones((n, n), dtype=bool), k=0 if allow_self_loops else 1)
+    size = int(np.count_nonzero(upper))
     layers = np.zeros((L, n, n))
-    for l in range(L):
-        rng = _layer_seed(seed, l)
-        draws = (rng.random(iu[0].size) < omega.layers[l][iu]).astype(float)
-        layers[l][iu] = draws
-        layers[l] = np.maximum(layers[l], layers[l].T)
+    for l, (layer, b) in enumerate(zip(layers, conn.matrices)):
+        p = _layer_expectation(pi, b, conn.rho)
+        layer[upper] = _layer_seed(seed, l).random(size) < p[upper]
+        np.maximum(layer, layer.T, out=layer)
     return MultiLayerNetwork(layers=layers, allow_self_loops=allow_self_loops)
 
 

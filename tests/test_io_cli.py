@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import mlmmsb
 from mlmmsb import (
     ConfigError,
     EmptyNetworkError,
@@ -76,6 +80,13 @@ class TestEdgeListParsing:
         assert data.network.layers[0, 0, 1] == 1
         weighted = read_multiplex_edges(path, binarize=False)
         assert weighted.network.layers[0, 0, 1] == 7.0
+
+    def test_weighted_listing_in_both_directions_is_symmetric(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2 5.0\n1 2 1 2.0\n1 2 3 0.5\n")
+        layer = read_multiplex_edges(path, binarize=False).network.layers[0]
+        assert layer[0, 1] == layer[1, 0] == 7.0
+        assert layer[1, 2] == layer[2, 1] == 0.5
 
     def test_self_loop_handling(self, tmp_path):
         path = tmp_path / "net.edges"
@@ -151,6 +162,14 @@ class TestMembershipCsv:
         assert header == "node,pi_1,pi_2,pi_3,home,label"
         back = read_membership_csv(path)
         assert np.max(np.abs(back.rows - pi.rows)) < 1e-9
+
+    @pytest.mark.parametrize("row", ["0,0", "0,-0", "1,-1", "nan,1", "inf,1"])
+    def test_row_without_positive_finite_sum_reports_number(self, tmp_path, row):
+        path = tmp_path / "pi.csv"
+        path.write_text(f"node,pi_1,pi_2\n1,1,0\n2,{row}\n")
+        with pytest.raises(ParseError) as info:
+            read_membership_csv(path)
+        assert info.value.line_number == 3
 
 
 class TestLineChart:
@@ -281,6 +300,31 @@ class TestCli:
         assert cli_main(["classify", "--pi", str(path)]) == 0
         out = capsys.readouterr().out
         assert "sigma_mixed=" in out and "upsilon=" in out
+
+    def test_classify_zero_row_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "pi.csv"
+        path.write_text("node,pi_1,pi_2\n1,0,0\n2,1,0\n")
+        assert cli_main(["classify", "--pi", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "ParseError" in captured.err
+        assert "nan" not in captured.out
+
+    def test_python_dash_m_runs_quietly(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mlmmsb.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "mlmmsb", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "simulate" in proc.stdout
 
     def test_keep_weights_refuses_spdsos(self, tmp_path, capsys):
         path = tmp_path / "w.edges"

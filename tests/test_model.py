@@ -49,6 +49,30 @@ class TestTypes:
         with pytest.raises(ConfigError):
             MultiLayerNetwork(layers=bad)
 
+    @pytest.mark.parametrize(
+        "entry, value",
+        [((0, 1), 0.0), ((0, 0), -1.0), ((1, 1), np.nan), ((0, 1), np.inf)],
+    )
+    def test_network_checks_every_layer(self, entry, value):
+        # only the last layer is bad (asymmetric, negative or non-finite)
+        layers = np.zeros((3, 2, 2))
+        layers[:, 0, 1] = layers[:, 1, 0] = 1.0
+        layers[-1][entry] = value
+        with pytest.raises(ConfigError):
+            MultiLayerNetwork(layers=layers)
+
+    def test_network_rejects_symmetric_nan(self):
+        layers = np.zeros((2, 3, 3))
+        layers[1, 0, 2] = layers[1, 2, 0] = np.nan
+        with pytest.raises(ConfigError, match="finite"):
+            MultiLayerNetwork(layers=layers)
+
+    def test_binary_flag_reads_every_layer(self):
+        layers = np.ones((3, 2, 2))
+        assert MultiLayerNetwork(layers=layers).binary
+        layers[-1, 0, 1] = layers[-1, 1, 0] = 0.5
+        assert not MultiLayerNetwork(layers=layers).binary
+
     def test_network_binary_flag(self):
         ones = np.ones((1, 2, 2))
         assert MultiLayerNetwork(layers=ones).binary
@@ -82,6 +106,46 @@ class TestExpectedAdjacency:
         omega = expected_adjacency(pi, conn)
         assert omega.layers.min() >= 0
         assert omega.layers.max() <= 0.3 + 1e-12
+
+
+def einsum_expectation(pi, conn):
+    """Reference expectation stack from one three-operand einsum."""
+    omega = conn.rho * np.einsum("ik,lkm,jm->lij", pi.rows, conn.matrices, pi.rows)
+    return 0.5 * (omega + omega.transpose(0, 2, 1))
+
+
+def einsum_sample(pi, conn, seed, allow_self_loops):
+    """Reference sampler: draws the triu_indices entries of the einsum stack."""
+    omega = einsum_expectation(pi, conn)
+    n = pi.n
+    iu = np.triu_indices(n, k=0 if allow_self_loops else 1)
+    layers = np.zeros((conn.L, n, n))
+    for l in range(conn.L):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(l,))
+        draws = np.random.default_rng(ss).random(iu[0].size)
+        layers[l][iu] = (draws < omega[l][iu]).astype(float)
+        layers[l] = np.maximum(layers[l], layers[l].T)
+    return layers
+
+
+class TestAgainstEinsum:
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    @pytest.mark.parametrize("allow_self_loops", [True, False])
+    @pytest.mark.parametrize("n", [61, 127])
+    def test_sampler_matches_reference(self, K, allow_self_loops, n):
+        pi = generate_membership(n, K, n // (2 * K), seed=n + K)
+        conn = generate_connectivity(K, 6, seed=K, rho=0.4)
+        net = sample_mlmmsb(pi, conn, seed=31 * n + K, allow_self_loops=allow_self_loops)
+        expected = einsum_sample(pi, conn, 31 * n + K, allow_self_loops)
+        assert np.array_equal(net.layers, expected)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_expectation_symmetric_and_close(self, K):
+        pi = generate_membership(83, K, 7, seed=K)
+        conn = generate_connectivity(K, 5, seed=K + 1, rho=0.7)
+        omega = expected_adjacency(pi, conn).layers
+        assert np.array_equal(omega, omega.transpose(0, 2, 1))
+        assert np.max(np.abs(omega - einsum_expectation(pi, conn))) <= 1e-15
 
 
 class TestSampler:
