@@ -7,12 +7,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
-from .errors import DimensionError, UnsupportedInputError
+from .errors import DimensionError, UnsupportedInputError, UnusableDataError
 from .model import ExpectationStack, MultiLayerNetwork
-
-SUM = "SUM"
-DEBIASED_SOS = "DEBIASED_SOS"
-SOS = "SOS"
 
 DENSE_EIG_LIMIT = 2048
 
@@ -22,7 +18,6 @@ class AggregateMatrix:
     """A symmetric n x n matrix aggregated across layers."""
 
     matrix: np.ndarray
-    kind: str
 
     @property
     def n(self) -> int:
@@ -55,7 +50,7 @@ def _square_sum(layers: np.ndarray) -> np.ndarray:
 
 def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Entrywise sum of all layers."""
-    return AggregateMatrix(matrix=net.layers.sum(axis=0), kind=SUM)
+    return AggregateMatrix(matrix=net.layers.sum(axis=0))
 
 
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
@@ -73,12 +68,12 @@ def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
     # degrees once gives the same bits as subtracting them layer by layer
     out = _square_sum(net.layers)
     out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2))
-    return AggregateMatrix(matrix=out, kind=DEBIASED_SOS)
+    return AggregateMatrix(matrix=out)
 
 
 def build_sos(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Plain sum of squared layers (no bias removal)."""
-    return AggregateMatrix(matrix=_square_sum(net.layers), kind=SOS)
+    return AggregateMatrix(matrix=_square_sum(net.layers))
 
 
 def _order_by_magnitude(values: np.ndarray) -> np.ndarray:
@@ -101,7 +96,8 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     """Eigenpairs with the K largest absolute eigenvalues.
 
     Uses a dense solver up to n=2048 and restarted Lanczos (magnitude mode)
-    above. Eigenvectors carry a deterministic sign convention: the entry of
+    above; a Lanczos run that does not converge raises UnusableDataError.
+    Eigenvectors carry a deterministic sign convention: the entry of
     largest absolute value in each column is positive.
     """
     n = agg.n
@@ -112,9 +108,14 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     else:
         # a fixed start vector keeps ARPACK independent of earlier calls
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        values, vectors = scipy.sparse.linalg.eigsh(
-            agg.matrix, k=min(K + 1, n - 1), which="LM", tol=1e-10, v0=v0
-        )
+        try:
+            values, vectors = scipy.sparse.linalg.eigsh(
+                agg.matrix, k=min(K + 1, n - 1), which="LM", tol=1e-10, v0=v0
+            )
+        except scipy.sparse.linalg.ArpackNoConvergence as exc:
+            raise UnusableDataError(
+                f"Lanczos did not converge to the top {K} eigenpairs: {exc}"
+            ) from exc
     order = _order_by_magnitude(values)
     top_vals = values[order[:K]]
     top_vecs = vectors[:, order[:K]]

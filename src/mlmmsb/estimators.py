@@ -16,9 +16,6 @@ import numpy as np
 
 from .aggregate import (
     AggregateMatrix,
-    DEBIASED_SOS,
-    SOS,
-    SUM,
     build_asum,
     build_sos,
     build_ssum_debiased,
@@ -44,7 +41,19 @@ class EstimationResult:
     diagnostics: tuple[str, ...] = ()
 
 
-def _run_pipeline(agg: AggregateMatrix, K: int, method: str) -> EstimationResult:
+def build_aggregate(net: MultiLayerNetwork, method: str) -> AggregateMatrix:
+    """Build the aggregate matrix that the method id names."""
+    # built on each call from the module globals, so a wrapper bound to one
+    # of these names (a profiler's, a test's) sees every build
+    builders = {SPSUM: build_asum, SPDSOS: build_ssum_debiased, SPSOS: build_sos}
+    key = method.upper()
+    if key not in builders:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return builders[key](net)
+
+
+def estimate(agg: AggregateMatrix, K: int, method: str) -> EstimationResult:
+    """Top-K eigenvectors, successive projection and reconstruction on agg."""
     emb = top_k_eigen(agg, K)
     vertices = successive_projection(emb.vectors, K)
     with warnings.catch_warnings(record=True) as caught:
@@ -56,33 +65,24 @@ def _run_pipeline(agg: AggregateMatrix, K: int, method: str) -> EstimationResult
         pi_hat=pi_hat,
         vertices=vertices,
         eigenvalues=emb.eigenvalues,
-        method=method,
+        method=method.upper(),
         diagnostics=tuple(notes),
     )
 
 
 def spsum(net: MultiLayerNetwork, K: int) -> EstimationResult:
     """Successive projection on the sum of adjacency matrices."""
-    return _run_pipeline(build_asum(net), K, SPSUM)
+    return estimate(build_asum(net), K, SPSUM)
 
 
 def spdsos(net: MultiLayerNetwork, K: int) -> EstimationResult:
     """Successive projection on the debiased sum of squared adjacency matrices."""
-    return _run_pipeline(build_ssum_debiased(net), K, SPDSOS)
+    return estimate(build_ssum_debiased(net), K, SPDSOS)
 
 
 def spsos(net: MultiLayerNetwork, K: int) -> EstimationResult:
     """Successive projection on the plain sum of squared adjacency matrices."""
-    return _run_pipeline(build_sos(net), K, SPSOS)
-
-
-def estimator(method: str):
-    """Look up a pipeline by its method id."""
-    table = {SPSUM: spsum, SPDSOS: spdsos, SPSOS: spsos}
-    key = method.upper()
-    if key not in table:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return table[key]
+    return estimate(build_sos(net), K, SPSOS)
 
 
 # Oracle variants: run the same pipelines on population quantities instead of
@@ -91,12 +91,12 @@ def estimator(method: str):
 
 def spsum_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     """SPSum fed the sum of expectation matrices (exact up to permutation)."""
-    return _run_pipeline(build_asum(omega), K, SPSUM)
+    return estimate(build_asum(omega), K, SPSUM)
 
 
 def spdsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     """SPDSoS fed the sum of squared expectation matrices (exact up to permutation)."""
-    return _run_pipeline(build_sos(omega), K, SPDSOS)
+    return estimate(build_sos(omega), K, SPDSOS)
 
 
 def spsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
@@ -109,4 +109,4 @@ def spsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     agg = build_sos(omega).matrix.copy()
     for layer in omega.layers:
         agg[np.diag_indices_from(agg)] += layer.sum(axis=1)
-    return _run_pipeline(AggregateMatrix(matrix=agg, kind=SOS), K, SPSOS)
+    return estimate(AggregateMatrix(matrix=agg), K, SPSOS)

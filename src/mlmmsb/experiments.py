@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UnusableDataError
-from .estimators import METHODS, estimator
+from .estimators import METHODS, build_aggregate, estimate
 from .metrics import membership_errors
 from .model import (
     ExpectationStack,
@@ -135,7 +135,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             conn = generate_connectivity(cfg.K, L, int(s_b), rho=rho)
             net = sample_mlmmsb(pi, conn, int(s_net))
             for m in cfg.methods:
-                result = estimator(m)(net, cfg.K)
+                result = estimate(build_aggregate(net, m), cfg.K, m)
                 report = membership_errors(result.pi_hat, pi)
                 raw[(m, value)]["hamming"].append(report.hamming)
                 raw[(m, value)]["relative"].append(report.relative)
@@ -162,25 +162,25 @@ class AssumptionDiagnostics:
 
 
 def compute_diagnostics(
-    net: MultiLayerNetwork,
-    omega: ExpectationStack,
-    rho: float,
-    n: int,
-    L: int,
+    net: MultiLayerNetwork, omega: ExpectationStack
 ) -> AssumptionDiagnostics:
     """Maximum aggregate deviations between sampled and expected layers.
 
     tau bounds the first-order deviation sum over layers; tau_tilde bounds
     the second-order (squared-matrix) deviation. The flags evaluate
-    rho*n*L >= tau^2 * log(n+L) and rho^2*n^2*L >= tau_tilde^2 * log(n+L).
+    rho*n*L >= tau^2 * log(n+L) and rho^2*n^2*L >= tau_tilde^2 * log(n+L),
+    with rho taken from omega.
     """
     if net.layers.shape != omega.layers.shape:
         raise DimensionError("network and expectation stacks disagree on shape")
-    dev = (net.layers - omega.layers).sum(axis=0)
-    tau = float(np.abs(dev).max())
-    dev2 = np.zeros((net.n, net.n))
+    rho, n, L = omega.rho, net.n, net.L
+    # one layer at a time, so the temporaries stay n x n
+    dev = np.zeros((n, n))
+    dev2 = np.zeros((n, n))
     for a, o in zip(net.layers, omega.layers):
+        dev += a - o
         dev2 += a @ a - o @ o
+    tau = float(np.abs(dev).max())
     tau_tilde = float(np.abs(dev2).max())
     log_term = math.log(n + L)
     return AssumptionDiagnostics(

@@ -26,7 +26,7 @@ from .errors import (
     ParseError,
     UnsupportedInputError,
 )
-from .estimators import SPDSOS, estimator
+from .estimators import METHODS, build_aggregate, estimate
 from .experiments import ExperimentConfig, ExperimentResult, run_experiment
 from .metrics import classify_nodes, estimate_k
 from .model import (
@@ -133,8 +133,7 @@ def read_multiplex_edges(
             layers[layer - 1, j, i] += weight
     if binarize:
         np.copyto(layers, layers > 0)
-    net = MultiLayerNetwork(layers=layers, allow_self_loops=not drop_self_loops)
-    return MultiplexData(network=net, node_ids=ordered)
+    return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=ordered)
 
 
 def write_multiplex_edges(data: MultiplexData, path) -> None:
@@ -230,8 +229,6 @@ def render_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    log_x: bool = False,
-    log_y: bool = False,
 ) -> None:
     """Render named (x, y) series as an SVG line chart with a legend.
 
@@ -242,22 +239,12 @@ def render_line_chart(
     for name, xs, ys in series:
         if len(xs) != len(ys) or len(xs) == 0:
             raise ConfigError(f"series {name!r} needs equal-length nonempty x/y")
-        if log_x and any(x <= 0 for x in xs):
-            raise ConfigError("log x-axis requires positive x values")
-        if log_y and any(y <= 0 for y in ys):
-            raise ConfigError("log y-axis requires positive y values")
 
     width, height = 640, 420
     left, right, top, bottom = 70, 160, 40, 50
 
-    def tx(v):
-        return math.log(v) if log_x else float(v)
-
-    def ty(v):
-        return math.log(v) if log_y else float(v)
-
-    all_x = [tx(x) for _, xs, _ in series for x in xs]
-    all_y = [ty(y) for _, _, ys in series for y in ys]
+    all_x = [float(x) for _, xs, _ in series for x in xs]
+    all_y = [float(y) for _, _, ys in series for y in ys]
     x_lo, x_hi = min(all_x), max(all_x)
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
@@ -266,10 +253,10 @@ def render_line_chart(
         y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
 
     def px(v):
-        return left + (tx(v) - x_lo) / (x_hi - x_lo) * (width - left - right)
+        return left + (float(v) - x_lo) / (x_hi - x_lo) * (width - left - right)
 
     def py(v):
-        return height - bottom - (ty(v) - y_lo) / (y_hi - y_lo) * (height - top - bottom)
+        return height - bottom - (float(v) - y_lo) / (y_hi - y_lo) * (height - top - bottom)
 
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     parts = [
@@ -398,8 +385,9 @@ def _build_parser() -> _Parser:
         description="Mixed membership community detection for multi-layer networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    methods = [m.lower() for m in METHODS]
 
-    p = sub.add_parser("simulate", parents=[], help="sample a network and save it")
+    p = sub.add_parser("simulate", help="sample a network and save it")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--layers", type=int, default=20)
@@ -411,7 +399,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="estimate memberships for a dataset")
     p.add_argument("--data", required=True, help="dataset name or edge-list path")
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--method", default="spsum", choices=["spsum", "spdsos", "spsos"])
+    p.add_argument("--method", default="spsum", choices=methods)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--keep-weights", action="store_true")
@@ -429,7 +417,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("select-k", help="pick K by fuzzy modularity")
     p.add_argument("--data", required=True)
     p.add_argument("--data-dir", default="data")
-    p.add_argument("--method", default="spsum", choices=["spsum", "spdsos", "spsos"])
+    p.add_argument("--method", default="spsum", choices=methods)
     p.add_argument("--range", default="2..6", help="inclusive range, e.g. 2..6")
     p.add_argument("--criterion", default="fsum", choices=["fsum", "fmean"])
     p.add_argument("--keep-weights", action="store_true")
@@ -468,7 +456,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_estimate(args) -> int:
     data = _load_network(args)
-    result = estimator(args.method)(data.network, args.k)
+    result = estimate(build_aggregate(data.network, args.method), args.k, args.method)
     os.makedirs(args.out_dir, exist_ok=True)
     pi_path = os.path.join(args.out_dir, "membership.csv")
     map_path = os.path.join(args.out_dir, "nodes.csv")

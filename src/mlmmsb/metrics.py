@@ -16,7 +16,7 @@ from .errors import (
     EmptyNetworkError,
     ModelSelectionError,
 )
-from .estimators import estimator
+from .estimators import build_aggregate, estimate
 from .model import MembershipMatrix, MultiLayerNetwork
 
 HIGHLY_MIXED = "HIGHLY_MIXED"
@@ -160,9 +160,10 @@ def estimate_k(
 ) -> SelectionResult:
     """Pick the community count maximizing a fuzzy modularity criterion.
 
-    Runs the chosen estimator at each candidate K and scores the resulting
-    memberships; ties go to the smaller K. Candidates where the estimator
-    fails are skipped and recorded.
+    Builds the method's aggregate once, runs the rest of the estimator at
+    each candidate K and scores the resulting memberships; ties go to the
+    smaller K. An aggregate that cannot be built raises; candidates where
+    the estimator fails are skipped and recorded.
     """
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
@@ -173,12 +174,12 @@ def estimate_k(
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
     score_fn = q_fsum if crit == FSUM else q_fmean
-    run = estimator(method)
+    agg = build_aggregate(net, method)
     scores: dict[int, float] = {}
     failures: dict[int, str] = {}
     for k in k_values:
         try:
-            result = run(net, k)
+            result = estimate(agg, k, method)
             scores[k] = score_fn(net, result.pi_hat)
         except Exception as exc:  # noqa: BLE001 - record and move on
             failures[k] = f"{type(exc).__name__}: {exc}"

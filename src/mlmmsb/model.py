@@ -97,7 +97,6 @@ class MultiLayerNetwork:
     """L symmetric n x n adjacency matrices sharing one node set."""
 
     layers: np.ndarray  # shape (L, n, n)
-    allow_self_loops: bool = True
     binary: bool = field(init=False, default=True)
 
     def __post_init__(self):
@@ -203,7 +202,7 @@ def sample_mlmmsb(
         p = _layer_expectation(pi, b, conn.rho)
         layer[upper] = _layer_seed(seed, l).random(size) < p[upper]
         np.maximum(layer, layer.T, out=layer)
-    return MultiLayerNetwork(layers=layers, allow_self_loops=allow_self_loops)
+    return MultiLayerNetwork(layers=layers)
 
 
 def generate_membership(n: int, K: int, n0: int, seed: int) -> MembershipMatrix:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from mlmmsb import (
     DimensionError,
     MembershipMatrix,
     MultiLayerNetwork,
     UnsupportedInputError,
+    UnusableDataError,
     build_asum,
     build_sos,
     build_ssum_debiased,
@@ -74,7 +76,7 @@ class TestBuilders:
 
 class TestTopKEigen:
     def test_diagonal_case(self):
-        emb = top_k_eigen(AggregateMatrix(np.diag([3.0, -2.0, 1.0]), "SUM"), 2)
+        emb = top_k_eigen(AggregateMatrix(np.diag([3.0, -2.0, 1.0])), 2)
         assert np.allclose(emb.eigenvalues, [3, -2])
         assert np.allclose(np.abs(emb.vectors), np.eye(3)[:, :2])
         # sign convention: dominant entry positive
@@ -82,7 +84,7 @@ class TestTopKEigen:
 
     def test_rank_one_case(self):
         x = np.array([1.0, 2.0, 2.0])
-        emb = top_k_eigen(AggregateMatrix(np.outer(x, x), "SUM"), 1)
+        emb = top_k_eigen(AggregateMatrix(np.outer(x, x)), 1)
         assert np.allclose(emb.eigenvalues, [9.0])
         assert np.allclose(emb.vectors[:, 0], x / 3)
 
@@ -90,7 +92,7 @@ class TestTopKEigen:
         rng = np.random.default_rng(3)
         m = rng.standard_normal((6, 6))
         m = m + m.T
-        emb = top_k_eigen(AggregateMatrix(m, "SUM"), 3)
+        emb = top_k_eigen(AggregateMatrix(m), 3)
         values, vectors = np.linalg.eigh(m)
         order = np.argsort(-np.abs(values))[:3]
         assert np.allclose(np.abs(emb.eigenvalues), np.abs(values[order]), atol=1e-8)
@@ -102,7 +104,7 @@ class TestTopKEigen:
         rng = np.random.default_rng(4)
         m = rng.standard_normal((20, 20))
         m = m + m.T
-        emb = top_k_eigen(AggregateMatrix(m, "SUM"), 5)
+        emb = top_k_eigen(AggregateMatrix(m), 5)
         for k in range(5):
             res = np.linalg.norm(m @ emb.vectors[:, k] - emb.eigenvalues[k] * emb.vectors[:, k])
             assert res <= 1e-8 * max(1, abs(emb.eigenvalues[0]))
@@ -112,7 +114,7 @@ class TestTopKEigen:
         m = rng.standard_normal((12, 12))
         m = m + m.T
         K = 4
-        emb = top_k_eigen(AggregateMatrix(m, "SUM"), K)
+        emb = top_k_eigen(AggregateMatrix(m), K)
         approx = emb.vectors @ np.diag(emb.eigenvalues) @ emb.vectors.T
         values = np.sort(np.abs(np.linalg.eigvalsh(m)))[::-1]
         bound = values[K] + 1e-6 * values[0]
@@ -120,10 +122,10 @@ class TestTopKEigen:
 
     def test_k_out_of_range(self):
         with pytest.raises(DimensionError):
-            top_k_eigen(AggregateMatrix(np.eye(3), "SUM"), 4)
+            top_k_eigen(AggregateMatrix(np.eye(3)), 4)
 
     def test_degeneracy_warning_on_boundary_tie(self):
-        emb = top_k_eigen(AggregateMatrix(np.diag([2.0, -2.0, 1.0]), "SUM"), 1)
+        emb = top_k_eigen(AggregateMatrix(np.diag([2.0, -2.0, 1.0])), 1)
         assert emb.warnings
 
     def test_lanczos_path_repeatable(self):
@@ -131,17 +133,27 @@ class TestTopKEigen:
         n = DENSE_EIG_LIMIT + 52
         x = rng.standard_normal((n, 3))
         noise = rng.standard_normal((n, n))
-        agg = AggregateMatrix(x @ np.diag([40.0, -30.0, 20.0]) @ x.T + noise + noise.T, "SUM")
+        agg = AggregateMatrix(x @ np.diag([40.0, -30.0, 20.0]) @ x.T + noise + noise.T)
         first = top_k_eigen(agg, 3)
         second = top_k_eigen(agg, 3)
         assert np.array_equal(first.vectors, second.vectors)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
+    def test_lanczos_no_convergence_is_typed(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no luck", np.array([]), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        agg = AggregateMatrix(np.eye(DENSE_EIG_LIMIT + 1))
+        with pytest.raises(UnusableDataError) as info:
+            top_k_eigen(agg, 3)
+        assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(6)
         m = rng.standard_normal((15, 15))
         m = m + m.T
-        emb = top_k_eigen(AggregateMatrix(m, "SUM"), 4)
+        emb = top_k_eigen(AggregateMatrix(m), 4)
         gram = emb.vectors.T @ emb.vectors
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 

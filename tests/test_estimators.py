@@ -19,6 +19,7 @@ from mlmmsb import (
     spsum_oracle,
 )
 from mlmmsb.aggregate import build_ssum_debiased
+from mlmmsb.estimators import build_aggregate, estimate
 
 
 def instance(n=80, n0=15, L=10, rho=0.5, seed=0):
@@ -60,6 +61,7 @@ class TestContracts:
         assert spsum(net, 3).method == "SPSUM"
         assert spdsos(net, 3).method == "SPDSOS"
         assert spsos(net, 3).method == "SPSOS"
+        assert estimate(build_aggregate(net, "spsos"), 3, "spsos").method == "SPSOS"
 
     def test_deterministic_given_network(self):
         pi, conn = instance(seed=5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,7 +106,7 @@ class TestDiagnostics:
         conn = generate_connectivity(3, 3, seed=1, rho=0.5)
         omega = expected_adjacency(pi, conn)
         fake_net = MultiLayerNetwork(layers=omega.layers.copy())
-        diag = compute_diagnostics(fake_net, omega, 0.5, 20, 3)
+        diag = compute_diagnostics(fake_net, omega)
         assert diag.tau == 0
         assert diag.tau_tilde == 0
         assert diag.assumption1_holds and diag.assumption3_holds
@@ -114,7 +116,7 @@ class TestDiagnostics:
         conn = generate_connectivity(3, 4, seed=4, rho=0.6)
         omega = expected_adjacency(pi, conn)
         net = sample_mlmmsb(pi, conn, seed=5)
-        diag = compute_diagnostics(net, omega, 0.6, 15, 4)
+        diag = compute_diagnostics(net, omega)
         n, L = 15, 4
         tau = 0.0
         tau_tilde = 0.0
@@ -132,13 +134,27 @@ class TestDiagnostics:
         assert diag.tau == pytest.approx(tau, abs=1e-9)
         assert diag.tau_tilde == pytest.approx(tau_tilde, abs=1e-9)
 
+    def test_memory_stays_per_layer(self):
+        pi = generate_membership(200, 3, 40, seed=6)
+        conn = generate_connectivity(3, 40, seed=7, rho=0.3)
+        omega = expected_adjacency(pi, conn)
+        net = sample_mlmmsb(pi, conn, seed=8)
+        tracemalloc.start()
+        try:
+            compute_diagnostics(net, omega)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # no temporary the size of the (L, n, n) stack
+        assert peak < net.layers.nbytes / 4
+
     def test_dimension_mismatch(self):
         pi = generate_membership(10, 3, 2, seed=0)
         conn = generate_connectivity(3, 2, seed=1, rho=0.5)
         omega = expected_adjacency(pi, conn)
         net = sample_mlmmsb(generate_membership(12, 3, 2, seed=2), conn, seed=3)
         with pytest.raises(DimensionError):
-            compute_diagnostics(net, omega, 0.5, 12, 2)
+            compute_diagnostics(net, omega)
 
 
 def synthetic_result(sweep, values, means, method="SPDSOS"):

@@ -6,6 +6,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mlmmsb
 from mlmmsb import (
@@ -24,7 +27,8 @@ from mlmmsb.io_cli import (
     write_membership_csv,
     write_multiplex_edges,
 )
-from mlmmsb.model import MembershipMatrix
+from mlmmsb.aggregate import DENSE_EIG_LIMIT
+from mlmmsb.model import MembershipMatrix, MultiLayerNetwork
 
 
 class TestEdgeListParsing:
@@ -107,6 +111,36 @@ class TestEdgeListParsing:
         assert data.node_ids == again.node_ids
 
 
+@st.composite
+def writable_multiplex(draw):
+    """Binary symmetric layers without self-loops that the edge-list format
+    keeps as they are: every node has an edge and the last layer is not empty."""
+    n = draw(st.integers(2, 8))
+    L = draw(st.integers(1, 4))
+    ids = sorted(draw(st.sets(st.integers(1, 10**6), min_size=n, max_size=n)))
+    bits = draw(st.lists(st.booleans(), min_size=L * n * n, max_size=L * n * n))
+    upper = np.triu(np.array(bits, dtype=float).reshape(L, n, n), k=1)
+    layers = upper + upper.transpose(0, 2, 1)
+    # the reader drops isolated nodes and trailing empty layers
+    for i in np.flatnonzero(layers.sum(axis=(0, 2)) == 0):
+        j = (i + 1) % n
+        layers[-1, i, j] = layers[-1, j, i] = 1
+    if not layers[-1].any():
+        layers[-1, 0, 1] = layers[-1, 1, 0] = 1
+    return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=tuple(ids))
+
+
+class TestEdgeListRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(data=writable_multiplex())
+    def test_write_then_read(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("roundtrip") / "net.edges"
+        write_multiplex_edges(data, path)
+        back = read_multiplex_edges(path)
+        assert back.node_ids == data.node_ids
+        assert np.array_equal(back.network.layers, data.network.layers)
+
+
 class TestResultsCsv:
     def make_result(self, reps=2):
         cfg = ExperimentConfig(
@@ -183,7 +217,7 @@ class TestLineChart:
     def test_two_series_two_polylines(self, tmp_path):
         path = tmp_path / "chart.svg"
         render_line_chart(
-            [("a", [1, 2], [3, 4]), ("b", [1, 2], [5, 6])], path, log_y=True
+            [("a", [1, 2], [3, 4]), ("b", [1, 2], [5, 6])], path
         )
         root = ET.parse(path).getroot()
         polylines = [c for c in root.iter() if c.tag.endswith("polyline")]
@@ -236,6 +270,21 @@ class TestCli:
         )
         assert code == 2
         assert "ParseError" in capsys.readouterr().err
+        assert not (tmp_path / "membership.csv").exists()
+
+    def test_lanczos_no_convergence_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no luck", np.array([]), None)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        path = tmp_path / "path.edges"
+        n = DENSE_EIG_LIMIT + 52
+        path.write_text("".join(f"1 {i} {i + 1}\n" for i in range(1, n)))
+        code = cli_main(
+            ["estimate", "--data", str(path), "--k", "2", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "UnusableDataError" in capsys.readouterr().err
         assert not (tmp_path / "membership.csv").exists()
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):

@@ -12,13 +12,18 @@ from mlmmsb import (
     MembershipMatrix,
     ModelSelectionError,
     MultiLayerNetwork,
+    UnsupportedInputError,
     classify_nodes,
     estimate_k,
+    generate_connectivity,
+    generate_membership,
     membership_errors,
     q_fmean,
     q_fsum,
     sample_mlmmsb,
+    spdsos,
 )
+from mlmmsb import estimators
 from mlmmsb.errors import EmptyLayerWarning
 from mlmmsb.metrics import HIGHLY_MIXED, HIGHLY_PURE, NEUTRAL
 
@@ -241,3 +246,31 @@ class TestEstimateK:
         net = MultiLayerNetwork(layers=np.zeros((1, 5, 5)))
         with pytest.raises(ModelSelectionError):
             estimate_k(net, "spsum", [2, 3])
+
+    def test_aggregate_built_once(self, monkeypatch):
+        pi = generate_membership(120, 3, 30, seed=4)
+        conn = generate_connectivity(3, 6, seed=5, rho=0.4)
+        net = sample_mlmmsb(pi, conn, seed=6)
+        build = estimators.build_ssum_debiased
+        calls = []
+
+        def counting(net):
+            calls.append(net)
+            return build(net)
+
+        monkeypatch.setattr(estimators, "build_ssum_debiased", counting)
+        selection = estimate_k(net, "spdsos", range(2, 7), "fmean")
+        assert len(calls) == 1
+        monkeypatch.undo()
+        expected = {k: q_fmean(net, spdsos(net, k).pi_hat) for k in range(2, 7)}
+        assert selection.scores == expected
+        assert not selection.failures
+
+    def test_weighted_spdsos_raises(self):
+        net = MultiLayerNetwork(layers=0.5 * np.ones((1, 4, 4)))
+        with pytest.raises(UnsupportedInputError):
+            estimate_k(net, "spdsos", [2, 3])
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate_k(self.planted_two_block(), "spfoo", [2])
