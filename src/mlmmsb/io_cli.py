@@ -1,14 +1,19 @@
 """File formats, dataset ingestion, chart rendering, and the command line.
 
 The multiplex edge-list format is whitespace-separated lines of
-``layer u v [weight]`` with 1-based ids and ``#`` comments, matching the
-public multiplex dataset releases. Results go to a fixed-schema CSV and
-simple SVG line charts; all writes are atomic (temp file + rename).
+``layer u v [weight]``, matching the public multiplex dataset releases.
+Layer and node ids are integers from 1 to 2**63 - 1; the weight is optional
+on each line, defaults to 1 and must be finite; ``#`` starts a comment that
+runs to the end of the line. A malformed line raises ``ParseError`` with its
+line number, which the CLI turns into exit code 2. Results go to a
+fixed-schema CSV and simple SVG line charts; all writes are atomic (temp
+file + rename).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -67,6 +72,86 @@ def _atomic_write(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
+_MAX_ID = 2**63 - 1  # ids are read as int64
+
+
+def _fields(line: str) -> list[str]:
+    """Whitespace-separated fields of one line; ``#`` starts a comment."""
+    return line.partition("#")[0].split()
+
+
+def _scan_edges(handle):
+    """Parse an edge list line by line into (layer, u, v, weight) columns.
+
+    This loop is the reference for the format: every ``ParseError`` comes
+    from here and names the first offending line.
+    """
+    columns = ([], [], [], [])
+    for lineno, line in enumerate(handle, start=1):
+        parts = _fields(line)
+        if not parts:
+            continue
+        if len(parts) not in (3, 4):
+            raise ParseError(
+                f"line {lineno}: expected 'layer u v [weight]', got {line.strip()!r}",
+                line_number=lineno,
+            )
+        try:
+            layer = int(parts[0])
+            u = int(parts[1])
+            v = int(parts[2])
+            weight = float(parts[3]) if len(parts) == 4 else 1.0
+        except ValueError as exc:
+            raise ParseError(
+                f"line {lineno}: non-numeric field in {line.strip()!r}",
+                line_number=lineno,
+            ) from exc
+        if not math.isfinite(weight):
+            raise ParseError(
+                f"line {lineno}: weight must be finite, got {parts[3]!r}",
+                line_number=lineno,
+            )
+        if not all(1 <= x <= _MAX_ID for x in (layer, u, v)):
+            raise ParseError(
+                f"line {lineno}: ids must be integers from 1 to 2**63 - 1",
+                line_number=lineno,
+            )
+        for column, value in zip(columns, (layer, u, v, weight)):
+            column.append(value)
+    ids = tuple(np.array(c, dtype=np.int64) for c in columns[:3])
+    return ids + (np.array(columns[3], dtype=float),)
+
+
+def _read_columns(handle):
+    """(layer, u, v, weight) columns of an edge list.
+
+    numpy's C reader parses files whose data lines all have the width of the
+    first one; the scanner re-reads any file it refuses or whose values break
+    a format rule, so it alone decides what is accepted and raises the
+    errors.
+    """
+    width = 0
+    for line in handle:
+        width = len(_fields(line))
+        if width:
+            break
+    handle.seek(0)
+    if width in (3, 4):
+        try:
+            rows = np.loadtxt(
+                handle, dtype="i8,i8,i8" + ",f8" * (width - 3), comments="#", ndmin=1
+            )
+        except ValueError:
+            pass
+        else:
+            layer, u, v = rows["f0"], rows["f1"], rows["f2"]
+            weight = rows["f3"] if width == 4 else np.ones(len(rows))
+            if min(layer.min(), u.min(), v.min()) >= 1 and np.isfinite(weight).all():
+                return layer, u, v, weight
+        handle.seek(0)
+    return _scan_edges(handle)
+
+
 def read_multiplex_edges(
     path,
     binarize: bool = True,
@@ -76,64 +161,32 @@ def read_multiplex_edges(
 
     Node ids are remapped to dense 0-based indices; the original ids come
     back in ``node_ids``. Duplicate edges collapse in binarize mode and
-    accumulate in weighted mode.
+    accumulate in weighted mode, in file order.
     """
-    records = []
-    node_ids = set()
-    max_layer = 0
     try:
         with open(path) as handle:
-            for lineno, line in enumerate(handle, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                parts = text.split()
-                if len(parts) not in (3, 4):
-                    raise ParseError(
-                        f"line {lineno}: expected 'layer u v [weight]', got {text!r}",
-                        line_number=lineno,
-                    )
-                try:
-                    layer = int(parts[0])
-                    u = int(parts[1])
-                    v = int(parts[2])
-                    weight = float(parts[3]) if len(parts) == 4 else 1.0
-                except ValueError as exc:
-                    raise ParseError(
-                        f"line {lineno}: non-numeric field in {text!r}",
-                        line_number=lineno,
-                    ) from exc
-                if not math.isfinite(weight):
-                    raise ParseError(
-                        f"line {lineno}: weight must be finite, got {parts[3]!r}",
-                        line_number=lineno,
-                    )
-                if layer < 1 or u < 1 or v < 1:
-                    raise ParseError(
-                        f"line {lineno}: ids must be 1-based positive integers",
-                        line_number=lineno,
-                    )
-                records.append((layer, u, v, weight))
-                node_ids.update((u, v))
-                max_layer = max(max_layer, layer)
+            if not handle.seekable():  # a pipe: read it once, re-read from memory
+                handle = io.StringIO(handle.read())
+            layer, u, v, weight = _read_columns(handle)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    if not node_ids:
+    if not layer.size:
         raise EmptyNetworkError(f"no nodes found in {path}")
-    ordered = tuple(sorted(node_ids))
-    index = {node: i for i, node in enumerate(ordered)}
-    n = len(ordered)
-    layers = np.zeros((max_layer, n, n))
-    for layer, u, v, weight in records:
-        i, j = index[u], index[v]
-        if i == j and drop_self_loops:
-            continue
-        layers[layer - 1, i, j] += weight
-        if i != j:
-            layers[layer - 1, j, i] += weight
+    node_ids, index = np.unique(np.concatenate([u, v]), return_inverse=True)
+    n = node_ids.size
+    i, j = index[: layer.size], index[layer.size :]
+    layers = np.zeros((int(layer.max()), n, n))
+    # each record adds to (i, j), then to (j, i) unless it is a self-loop, so
+    # every cell sums its weights in file order
+    cells = (layer - 1)[:, None] * (n * n) + np.column_stack([i * n + j, j * n + i])
+    off_diagonal = i != j
+    keep = np.column_stack([off_diagonal | (not drop_self_loops), off_diagonal])
+    np.add.at(layers.reshape(-1), cells[keep], np.repeat(weight, keep.sum(axis=1)))
     if binarize:
         np.copyto(layers, layers > 0)
-    return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=ordered)
+    return MultiplexData(
+        network=MultiLayerNetwork(layers=layers), node_ids=tuple(node_ids.tolist())
+    )
 
 
 def write_multiplex_edges(data: MultiplexData, path) -> None:

@@ -71,10 +71,10 @@ def membership_errors(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> Er
     )
 
 
-def _fuzzy_modularity(adj: np.ndarray, pi_rows: np.ndarray) -> float:
+def _fuzzy_modularity(adj: np.ndarray, gram: np.ndarray) -> float:
+    """Fuzzy modularity of one adjacency matrix; ``gram`` is Pi Pi^T."""
     degrees = adj.sum(axis=1)
     m = float(degrees.sum())
-    gram = pi_rows @ pi_rows.T
     return (float(np.sum(adj * gram)) - float(degrees @ gram @ degrees) / m) / m
 
 
@@ -85,20 +85,21 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     asum = net.layers.sum(axis=0)
     if asum.sum() == 0:
         raise EmptyNetworkError("network has no edges")
-    return _fuzzy_modularity(asum, pi_hat.rows)
+    return _fuzzy_modularity(asum, pi_hat.rows @ pi_hat.rows.T)
 
 
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Average per-layer fuzzy modularity, skipping layers without edges."""
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
+    gram = pi_hat.rows @ pi_hat.rows.T
     values = []
     skipped = 0
     for layer in net.layers:
         if layer.sum() == 0:
             skipped += 1
             continue
-        values.append(_fuzzy_modularity(layer, pi_hat.rows))
+        values.append(_fuzzy_modularity(layer, gram))
     if not values:
         raise EmptyNetworkError("all layers are empty")
     if skipped:

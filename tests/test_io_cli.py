@@ -1,7 +1,9 @@
 import csv
+import math
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,8 +23,11 @@ from mlmmsb import (
     write_results_csv,
 )
 from mlmmsb.experiments import ExperimentConfig, run_experiment
+from mlmmsb.errors import IoError
 from mlmmsb.io_cli import (
     MultiplexData,
+    _read_columns,
+    _scan_edges,
     read_membership_csv,
     write_membership_csv,
     write_multiplex_edges,
@@ -109,6 +114,261 @@ class TestEdgeListParsing:
         again = read_multiplex_edges(back)
         assert np.array_equal(data.network.layers, again.network.layers)
         assert data.node_ids == again.node_ids
+
+
+class TestEdgeListFormatRules:
+    def test_trailing_comment_parses(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2 # first edge\n1 2 3#second\n")
+        data = read_multiplex_edges(path)
+        assert data.node_ids == (1, 2, 3)
+        assert data.network.layers[0].sum() == 4
+
+    def test_only_comments_and_blank_lines_warn_nothing(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("# header\n\n   \n\t\n# 1 2 3\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyNetworkError):
+                read_multiplex_edges(path)
+
+    def test_mixed_widths_parse(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2\n1 2 3 2.5\n2 1 3\n1 1 2 -0.5\n")
+        weighted = read_multiplex_edges(path, binarize=False).network.layers
+        assert weighted[0, 0, 1] == weighted[0, 1, 0] == 0.5
+        assert weighted[0, 1, 2] == weighted[0, 2, 1] == 2.5
+        assert weighted[1, 0, 2] == weighted[1, 2, 0] == 1.0
+        assert weighted.sum() == 8.0
+        path.write_text(path.read_text() + "1 3 3 4\n")
+        for binarize in (True, False):
+            for drop in (True, False):
+                got = read_multiplex_edges(path, binarize, drop)
+                want = line_loop_reader(path, binarize, drop)
+                assert got.node_ids == want.node_ids
+                assert np.array_equal(got.network.layers, want.network.layers)
+
+    def test_weighted_sums_keep_file_order(self, tmp_path):
+        # (1e16 + 1) - 1e16 == 0 but (1e16 - 1e16) + 1 == 1: the cell must add
+        # its weights in file order, whichever direction each line lists
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2 1e16\n1 2 1 1\n1 1 2 -1e16\n")
+        layer = read_multiplex_edges(path, binarize=False).network.layers[0]
+        assert layer[0, 1] == layer[1, 0] == 0.0
+
+    def test_underscored_ids_parse(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1_000 2\n")
+        assert read_multiplex_edges(path).node_ids == (2, 1000)
+
+    @pytest.mark.parametrize(
+        "line", [f"1 {2**63} 3", "1 12345678901234567890 3", "99999999999999999999 1 2"]
+    )
+    def test_id_above_int64_reports_number(self, tmp_path, line):
+        path = tmp_path / "net.edges"
+        path.write_text(f"1 1 2\n1 2 3\n{line}\n")
+        with pytest.raises(ParseError) as info:
+            read_multiplex_edges(path)
+        assert info.value.line_number == 3
+
+    def test_largest_int64_id_parses(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text(f"1 1 {2**63 - 1}\n")
+        assert read_multiplex_edges(path).node_ids == (1, 2**63 - 1)
+
+    def test_huge_id_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2\n1 2 3\n1 12345678901234567890 3\n")
+        code = cli_main(
+            ["estimate", "--data", str(path), "--k", "2", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "membership.csv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_reads_from_a_pipe(self):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"# header\n1 1 2\n1 2 3 extra\n")
+        os.close(write_end)
+        try:
+            with pytest.raises(ParseError) as info:
+                read_multiplex_edges(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert info.value.line_number == 3
+
+    def test_missing_file_is_io_error(self, tmp_path):
+        with pytest.raises(IoError):
+            read_multiplex_edges(tmp_path / "absent.edges")
+
+
+LATE_LINE = 49_000
+
+
+def uniform_edge_file(path, width, bad):
+    """50k lines of one width, all valid except ``bad`` as line LATE_LINE."""
+    rng = np.random.default_rng(width)
+    rows = rng.integers(1, 300, size=(50_000, 3))
+    rows[:, 0] = rows[:, 0] % 4 + 1
+    weights = rng.uniform(-1.0, 3.0, size=len(rows))
+    lines = [
+        f"{l} {u} {v}" + (f" {w!r}" if width == 4 else "")
+        for (l, u, v), w in zip(rows.tolist(), weights.tolist())
+    ]
+    lines[LATE_LINE - 1] = bad
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestLateErrors:
+    @pytest.mark.parametrize(
+        "width, bad",
+        [
+            (3, "2 0 7"),
+            (4, "2 0 7 1.5"),
+            (4, "2 5 7 nan"),
+            (3, "2 5 7 1.0 9"),
+            (4, "2 5 7 1.0 9"),
+            (3, "2 five 7"),
+            (4, "2 5 7 x"),
+        ],
+    )
+    def test_line_number_of_late_error(self, tmp_path, width, bad):
+        path = tmp_path / "big.edges"
+        uniform_edge_file(path, width, bad)
+        with pytest.raises(ParseError) as info:
+            read_multiplex_edges(path)
+        assert info.value.line_number == LATE_LINE
+
+
+def line_loop_reader(path, binarize=True, drop_self_loops=True):
+    """The line-by-line reader that preceded the vectorised one, kept as the
+    reference for files both accept (no trailing comments, ids below 2**63)."""
+    records = []
+    node_ids = set()
+    max_layer = 0
+    with open(path) as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text or text.startswith("#"):
+                continue
+            parts = text.split()
+            if len(parts) not in (3, 4):
+                raise ParseError("field count", line_number=lineno)
+            try:
+                layer = int(parts[0])
+                u = int(parts[1])
+                v = int(parts[2])
+                weight = float(parts[3]) if len(parts) == 4 else 1.0
+            except ValueError as exc:
+                raise ParseError("non-numeric", line_number=lineno) from exc
+            if not math.isfinite(weight):
+                raise ParseError("non-finite", line_number=lineno)
+            if layer < 1 or u < 1 or v < 1:
+                raise ParseError("ids", line_number=lineno)
+            records.append((layer, u, v, weight))
+            node_ids.update((u, v))
+            max_layer = max(max_layer, layer)
+    if not node_ids:
+        raise EmptyNetworkError("empty")
+    ordered = tuple(sorted(node_ids))
+    index = {node: i for i, node in enumerate(ordered)}
+    n = len(ordered)
+    layers = np.zeros((max_layer, n, n))
+    for layer, u, v, weight in records:
+        i, j = index[u], index[v]
+        if i == j and drop_self_loops:
+            continue
+        layers[layer - 1, i, j] += weight
+        if i != j:
+            layers[layer - 1, j, i] += weight
+    if binarize:
+        np.copyto(layers, layers > 0)
+    return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=ordered)
+
+
+INVALID_LINES = ("1 0 2", "0 1 2", "1 -3 2", "1 2 nan", "1 2 3 inf", "1 2 3 -inf",
+                 "1 2", "1 2 3 4 5", "1 x 2", "1 2 3 w", "1.0 2 3", "1 2 3 1,5")
+
+
+@st.composite
+def edge_list_text(draw):
+    """An edge-list file: duplicates, both directions, self-loops, negative and
+    full-precision weights, blank and comment lines, tabs, CRLF, mixed widths
+    and sometimes one malformed line."""
+    widths = draw(st.sampled_from(["3", "4", "mixed"]))
+    # few ids and layers, so lines often repeat a cell
+    pool = draw(st.lists(st.integers(1, 2**63 - 1), max_size=2)) + [1, 2, 3]
+    # weighted layers must stay nonnegative, so most files have no negative weight
+    low = draw(st.sampled_from([0, 0, -1]))
+    weight = st.one_of(
+        st.floats(low * 1e6, 1e6, allow_subnormal=False).map(repr),
+        st.integers(low * 10**6, 10**6).map(lambda k: repr(k / 7)),
+        st.floats(low * 10, 10).map(lambda w: f"{w:.17g}"),
+        st.integers(low * 5, 5).map(str),
+    )
+    sep = st.sampled_from([" ", "\t", "  ", " \t"])
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("")
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["# header", "#", "  # indented", "\t"])))
+        else:
+            fields = [str(draw(st.integers(1, 2)))]
+            fields += [str(draw(st.sampled_from(pool))) for _ in range(2)]
+            if widths == "4" or (widths == "mixed" and draw(st.booleans())):
+                fields.append(draw(weight))
+            lead = draw(st.sampled_from(["", " ", "\t"]))
+            lines.append(lead + draw(sep).join(fields) + draw(st.sampled_from(["", " "])))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(INVALID_LINES)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def outcome(read, path, binarize, drop):
+    try:
+        data = read(path, binarize, drop)
+    except ParseError as exc:
+        return ("ParseError", exc.line_number)
+    except Exception as exc:  # noqa: BLE001 - compared by type
+        return (type(exc).__name__, None)
+    return data
+
+
+class TestAgainstLineLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(text=edge_list_text())
+    def test_same_layers_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("edges") / "net.edges"
+        path.write_bytes(text.encode())
+        for binarize in (True, False):
+            for drop in (True, False):
+                got = outcome(read_multiplex_edges, path, binarize, drop)
+                want = outcome(line_loop_reader, path, binarize, drop)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert got.node_ids == want.node_ids
+                    assert np.array_equal(got.network.layers, want.network.layers)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=edge_list_text())
+    def test_reader_matches_scanner(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("edges") / "net.edges"
+        path.write_bytes(text.encode())
+        with open(path) as handle:
+            try:
+                slow = _scan_edges(handle)
+            except ParseError:
+                return
+            handle.seek(0)
+            fast = _read_columns(handle)
+        for a, b in zip(fast, slow):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
 
 
 @st.composite

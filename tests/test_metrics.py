@@ -128,6 +128,15 @@ class TestPermutationErrors:
         assert moved.hamming == pytest.approx(base.hamming, abs=1e-12)
 
 
+def per_layer_modularity(a, rows):
+    """Fuzzy modularity of one layer, Gram matrix built inside, as the
+    package computed it before q_fmean shared one Gram matrix across layers."""
+    degrees = a.sum(axis=1)
+    m = float(degrees.sum())
+    gram = rows @ rows.T
+    return (float(np.sum(a * gram)) - float(degrees @ gram @ degrees) / m) / m
+
+
 class TestModularity:
     def test_k1_is_exactly_zero(self):
         net = two_triangles()
@@ -174,6 +183,16 @@ class TestModularity:
         base = q_fsum(net, pi)
         for perm in itertools.permutations(range(3)):
             assert q_fsum(net, MembershipMatrix(rows=pi.rows[:, perm])) == pytest.approx(base)
+
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_equals_per_layer_formula_exactly(self, K):
+        pi = generate_membership(90, K, 10, seed=K)
+        net = sample_mlmmsb(pi, generate_connectivity(K, 7, seed=K, rho=0.3), seed=K)
+        pi_hat = MembershipMatrix(rows=np.random.default_rng(K).dirichlet(np.ones(K), 90))
+        rows = pi_hat.rows
+        values = [per_layer_modularity(a, rows) for a in net.layers if a.sum() > 0]
+        assert q_fmean(net, pi_hat) == float(np.mean(values))
+        assert q_fsum(net, pi_hat) == per_layer_modularity(net.layers.sum(axis=0), rows)
 
     def test_matches_newman_girvan_for_pure_single_layer(self):
         rng = np.random.default_rng(9)
