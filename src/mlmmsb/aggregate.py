@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +42,30 @@ class Embedding:
         return self.vectors.shape[1]
 
 
-def _square_sum(layers: np.ndarray) -> np.ndarray:
-    out = np.zeros((layers.shape[1], layers.shape[1]))
-    for a in layers:
-        out += a @ a
+def layer_squares(net: MultiLayerNetwork | ExpectationStack) -> Iterator[np.ndarray]:
+    """Yield A_l @ A_l for each layer in turn, in one buffer reused across layers.
+
+    Read each square before asking for the next. Binary layers are squared in
+    float32: every entry of their square is an integer no larger than n, and
+    below 2**24 nodes float32 holds every partial sum exactly, so the values
+    are those of the float64 product. Weighted layers and expectation stacks
+    are squared in float64.
+    """
+    n = net.n
+    exact_in_float32 = isinstance(net, MultiLayerNetwork) and net.binary and n < 2**24
+    dtype = np.float32 if exact_in_float32 else np.float64
+    cast = np.empty((n, n), dtype)
+    product = np.empty((n, n), dtype)
+    for a in net.layers:
+        np.copyto(cast, a)
+        np.matmul(cast, cast, out=product)
+        yield product
+
+
+def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
+    out = np.zeros((net.n, net.n))
+    for square in layer_squares(net):
+        out += square
     return out
 
 
@@ -66,14 +87,14 @@ def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
         )
     # binary layers keep every sum an exact integer, so subtracting the summed
     # degrees once gives the same bits as subtracting them layer by layer
-    out = _square_sum(net.layers)
+    out = _square_sum(net)
     out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2))
     return AggregateMatrix(matrix=out)
 
 
 def build_sos(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Plain sum of squared layers (no bias removal)."""
-    return AggregateMatrix(matrix=_square_sum(net.layers))
+    return AggregateMatrix(matrix=_square_sum(net))
 
 
 def _order_by_magnitude(values: np.ndarray) -> np.ndarray:

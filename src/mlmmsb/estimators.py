@@ -10,6 +10,7 @@ sum of squares (SPDSoS), or the plain sum of squares (SPSoS).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,15 +42,41 @@ class EstimationResult:
     diagnostics: tuple[str, ...] = ()
 
 
+def build_aggregates(
+    net: MultiLayerNetwork, methods: Iterable[str]
+) -> Iterator[AggregateMatrix]:
+    """Yield the aggregate matrix of each method id in turn.
+
+    Binary layers are squared once for SPDSoS and SPSoS together: the plain
+    sum of squares is the debiased one with the summed degrees put back on
+    its diagonal, which the debiasing leaves exactly zero. Besides the
+    aggregate last yielded, at most the debiased one is kept.
+    """
+    keys = []
+    for method in methods:
+        if method.upper() not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        keys.append(method.upper())
+    debiased = None
+    for key in keys:
+        if key == SPSUM:
+            yield build_asum(net)
+        elif key == SPSOS and not net.binary:
+            yield build_sos(net)
+        else:
+            if debiased is None:
+                debiased = build_ssum_debiased(net)
+            if key == SPDSOS:
+                yield debiased
+            else:
+                sos = debiased.matrix.copy()
+                sos[np.diag_indices_from(sos)] += net.layers.sum(axis=(0, 2))
+                yield AggregateMatrix(matrix=sos)
+
+
 def build_aggregate(net: MultiLayerNetwork, method: str) -> AggregateMatrix:
     """Build the aggregate matrix that the method id names."""
-    # built on each call from the module globals, so a wrapper bound to one
-    # of these names (a profiler's, a test's) sees every build
-    builders = {SPSUM: build_asum, SPDSOS: build_ssum_debiased, SPSOS: build_sos}
-    key = method.upper()
-    if key not in builders:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return builders[key](net)
+    return next(build_aggregates(net, (method,)))
 
 
 def estimate(agg: AggregateMatrix, K: int, method: str) -> EstimationResult:

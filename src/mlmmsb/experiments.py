@@ -15,8 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .aggregate import layer_squares
 from .errors import ConfigError, DimensionError, UnusableDataError
-from .estimators import METHODS, build_aggregate, estimate
+from .estimators import METHODS, build_aggregates, estimate
 from .metrics import membership_errors
 from .model import (
     ExpectationStack,
@@ -134,8 +135,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             pi = generate_membership(n, cfg.K, n0, int(s_pi))
             conn = generate_connectivity(cfg.K, L, int(s_b), rho=rho)
             net = sample_mlmmsb(pi, conn, int(s_net))
-            for m in cfg.methods:
-                result = estimate(build_aggregate(net, m), cfg.K, m)
+            for m, agg in zip(cfg.methods, build_aggregates(net, cfg.methods)):
+                result = estimate(agg, cfg.K, m)
                 report = membership_errors(result.pi_hat, pi)
                 raw[(m, value)]["hamming"].append(report.hamming)
                 raw[(m, value)]["relative"].append(report.relative)
@@ -177,9 +178,9 @@ def compute_diagnostics(
     # one layer at a time, so the temporaries stay n x n
     dev = np.zeros((n, n))
     dev2 = np.zeros((n, n))
-    for a, o in zip(net.layers, omega.layers):
+    for a, o, a2 in zip(net.layers, omega.layers, layer_squares(net)):
         dev += a - o
-        dev2 += a @ a - o @ o
+        dev2 += a2 - o @ o
     tau = float(np.abs(dev).max())
     tau_tilde = float(np.abs(dev2).max())
     log_term = math.log(n + L)

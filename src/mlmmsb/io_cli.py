@@ -160,8 +160,9 @@ def read_multiplex_edges(
     """Parse a multiplex edge list into symmetric layers.
 
     Node ids are remapped to dense 0-based indices; the original ids come
-    back in ``node_ids``. Duplicate edges collapse in binarize mode and
-    accumulate in weighted mode, in file order.
+    back in ``node_ids``. Layer ids are remapped the same way, in sorted
+    order, so a layer id that no line names takes no layer. Duplicate edges
+    collapse in binarize mode and accumulate in weighted mode, in file order.
     """
     try:
         with open(path) as handle:
@@ -172,13 +173,14 @@ def read_multiplex_edges(
         raise IoError(f"cannot read {path}: {exc}") from exc
     if not layer.size:
         raise EmptyNetworkError(f"no nodes found in {path}")
+    layer_ids, layer_index = np.unique(layer, return_inverse=True)
     node_ids, index = np.unique(np.concatenate([u, v]), return_inverse=True)
     n = node_ids.size
     i, j = index[: layer.size], index[layer.size :]
-    layers = np.zeros((int(layer.max()), n, n))
+    layers = np.zeros((layer_ids.size, n, n))
     # each record adds to (i, j), then to (j, i) unless it is a self-loop, so
     # every cell sums its weights in file order
-    cells = (layer - 1)[:, None] * (n * n) + np.column_stack([i * n + j, j * n + i])
+    cells = layer_index[:, None] * (n * n) + np.column_stack([i * n + j, j * n + i])
     off_diagonal = i != j
     keep = np.column_stack([off_diagonal | (not drop_self_loops), off_diagonal])
     np.add.at(layers.reshape(-1), cells[keep], np.repeat(weight, keep.sum(axis=1)))
@@ -190,18 +192,17 @@ def read_multiplex_edges(
 
 
 def write_multiplex_edges(data: MultiplexData, path) -> None:
-    """Write layers back as an edge list (upper triangle, 1-based ids)."""
-    lines = []
+    """Write layers back as an edge list (upper triangle, 1-based layer ids)."""
     net = data.network
-    for l in range(net.L):
-        layer = net.layers[l]
-        rows, cols = np.nonzero(np.triu(layer))
-        for i, j in zip(rows, cols):
-            u, v = data.node_ids[i], data.node_ids[j]
-            if net.binary:
-                lines.append(f"{l + 1} {u} {v}")
-            else:
-                lines.append(f"{l + 1} {u} {v} {layer[i, j]:.10g}")
+    layer, i, j = np.nonzero(net.layers)
+    upper = i <= j  # keeps the row-major order of each layer's upper triangle
+    layer, i, j = layer[upper], i[upper], j[upper]
+    names = np.array([f"{u}" for u in data.node_ids], dtype=object)
+    layer_names = np.array([f"{k}" for k in range(1, net.L + 1)], dtype=object)
+    fields = [layer_names[layer], names[i], names[j]]
+    if not net.binary:
+        fields.append(map("{:.10g}".format, net.layers[layer, i, j].tolist()))
+    lines = list(map(" ".join, zip(*fields)))
     _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
 
 

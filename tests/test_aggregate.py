@@ -14,6 +14,7 @@ from mlmmsb import (
     expected_adjacency,
     generate_connectivity,
     generate_membership,
+    sample_mlmmsb,
     top_k_eigen,
 )
 from mlmmsb.aggregate import DENSE_EIG_LIMIT, AggregateMatrix
@@ -72,6 +73,43 @@ class TestBuilders:
         diff = build_sos(net).matrix - build_ssum_debiased(net).matrix
         degrees = sum(a.sum(axis=1) for a in layers)
         assert np.allclose(diff, np.diag(degrees))
+
+
+def float64_square_sum(layers):
+    """Sum of A_l @ A_l in float64, one layer at a time: the reference for
+    the squared builders."""
+    out = np.zeros(layers.shape[1:])
+    for a in layers:
+        out += a @ a
+    return out
+
+
+class TestSquaresAgainstFloat64:
+    @pytest.mark.parametrize("self_loops", [False, True])
+    @pytest.mark.parametrize("n", [61, 600, DENSE_EIG_LIMIT + 52])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_binary_builds_equal_float64_loop(self, K, n, self_loops):
+        pi = generate_membership(n, K, n // (2 * K), seed=n + K)
+        conn = generate_connectivity(K, 2, seed=K, rho=0.3)
+        net = sample_mlmmsb(pi, conn, seed=n, allow_self_loops=self_loops)
+        assert net.binary
+        reference = float64_square_sum(net.layers)
+        assert np.array_equal(build_sos(net).matrix, reference)
+        reference[np.diag_indices(n)] -= net.layers.sum(axis=(0, 2))
+        assert np.array_equal(build_ssum_debiased(net).matrix, reference)
+
+    def test_weighted_sos_equals_float64_loop(self):
+        rng = np.random.default_rng(2)
+        values = np.array([0.0, 0.1, 1 / 3, 1.0, 2.5])
+        upper = np.triu(rng.choice(values, size=(4, 61, 61)))
+        net = MultiLayerNetwork(layers=upper + np.triu(upper, k=1).transpose(0, 2, 1))
+        assert not net.binary
+        assert np.array_equal(build_sos(net).matrix, float64_square_sum(net.layers))
+
+    def test_expectation_sos_equals_float64_loop(self):
+        pi = generate_membership(61, 3, 10, seed=3)
+        omega = expected_adjacency(pi, generate_connectivity(3, 4, seed=4, rho=0.3))
+        assert np.array_equal(build_sos(omega).matrix, float64_square_sum(omega.layers))
 
 
 class TestTopKEigen:

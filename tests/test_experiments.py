@@ -16,8 +16,8 @@ from mlmmsb import (
     run_experiment,
     sample_mlmmsb,
 )
+from mlmmsb import MultiLayerNetwork, build_sos, estimators, experiments
 from mlmmsb.errors import DimensionError
-from mlmmsb import MultiLayerNetwork
 from mlmmsb.experiments import ExperimentResult, MethodCell
 
 
@@ -91,6 +91,37 @@ class TestRunExperiment:
             mean, _ = cell.mean_se("hamming")
             assert mean == pytest.approx(cell.hamming.mean(), abs=1e-12)
 
+    def test_each_network_squared_once(self, monkeypatch):
+        sample, build_debiased, run = (
+            experiments.sample_mlmmsb, estimators.build_ssum_debiased, experiments.estimate
+        )
+        nets, debiased_calls, sos_calls, sos_aggregates = [], [], [], []
+
+        def sampling(*args, **kwargs):
+            nets.append(sample(*args, **kwargs))
+            return nets[-1]
+
+        def debiasing(net):
+            debiased_calls.append(net)
+            return build_debiased(net)
+
+        def estimating(agg, K, method):
+            if method == "SPSOS":
+                sos_aggregates.append(agg)
+            return run(agg, K, method)
+
+        monkeypatch.setattr(experiments, "sample_mlmmsb", sampling)
+        monkeypatch.setattr(estimators, "build_ssum_debiased", debiasing)
+        monkeypatch.setattr(estimators, "build_sos", lambda net: sos_calls.append(net))
+        monkeypatch.setattr(experiments, "estimate", estimating)
+        run_experiment(tiny_config(methods=("SPSUM", "SPDSOS", "SPSOS")))
+        monkeypatch.undo()
+        assert len(nets) == 4
+        assert [id(net) for net in debiased_calls] == [id(net) for net in nets]
+        assert sos_calls == []
+        for net, agg in zip(nets, sos_aggregates, strict=True):
+            assert np.array_equal(agg.matrix, build_sos(net).matrix)
+
     def test_error_decreases_with_density(self):
         cfg = tiny_config(
             sweep_values=(0.05, 0.4), n=150, L=20, n0=35, repetitions=3
@@ -133,6 +164,16 @@ class TestDiagnostics:
                 tau_tilde = max(tau_tilde, abs(d2))
         assert diag.tau == pytest.approx(tau, abs=1e-9)
         assert diag.tau_tilde == pytest.approx(tau_tilde, abs=1e-9)
+
+    def test_tau_tilde_equals_float64_reference(self):
+        pi = generate_membership(200, 3, 40, seed=9)
+        conn = generate_connectivity(3, 10, seed=10, rho=0.3)
+        omega = expected_adjacency(pi, conn)
+        net = sample_mlmmsb(pi, conn, seed=11)
+        dev2 = np.zeros((200, 200))
+        for a, o in zip(net.layers, omega.layers):
+            dev2 += a @ a - o @ o
+        assert compute_diagnostics(net, omega).tau_tilde == float(np.abs(dev2).max())
 
     def test_memory_stays_per_layer(self):
         pi = generate_membership(200, 3, 40, seed=6)

@@ -105,6 +105,13 @@ class TestEdgeListParsing:
         kept = read_multiplex_edges(path, drop_self_loops=False)
         assert kept.network.layers[0, 0, 0] == 1
 
+    def test_huge_layer_id_is_one_layer(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("10000000000 1 2\n")
+        data = read_multiplex_edges(path)
+        assert data.network.L == 1
+        assert data.network.n == 2
+
     def test_round_trip_idempotent(self, tmp_path):
         path = tmp_path / "net.edges"
         path.write_text("1 1 2\n1 2 3\n2 1 3\n")
@@ -243,10 +250,11 @@ class TestLateErrors:
 
 def line_loop_reader(path, binarize=True, drop_self_loops=True):
     """The line-by-line reader that preceded the vectorised one, kept as the
-    reference for files both accept (no trailing comments, ids below 2**63)."""
+    reference for files both accept (no trailing comments, ids below 2**63).
+    Layer ids map to layers in sorted order, as node ids do."""
     records = []
     node_ids = set()
-    max_layer = 0
+    layer_ids = set()
     with open(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
@@ -268,20 +276,21 @@ def line_loop_reader(path, binarize=True, drop_self_loops=True):
                 raise ParseError("ids", line_number=lineno)
             records.append((layer, u, v, weight))
             node_ids.update((u, v))
-            max_layer = max(max_layer, layer)
+            layer_ids.add(layer)
     if not node_ids:
         raise EmptyNetworkError("empty")
     ordered = tuple(sorted(node_ids))
     index = {node: i for i, node in enumerate(ordered)}
+    layer_index = {layer: k for k, layer in enumerate(sorted(layer_ids))}
     n = len(ordered)
-    layers = np.zeros((max_layer, n, n))
+    layers = np.zeros((len(layer_ids), n, n))
     for layer, u, v, weight in records:
         i, j = index[u], index[v]
         if i == j and drop_self_loops:
             continue
-        layers[layer - 1, i, j] += weight
+        layers[layer_index[layer], i, j] += weight
         if i != j:
-            layers[layer - 1, j, i] += weight
+            layers[layer_index[layer], j, i] += weight
     if binarize:
         np.copyto(layers, layers > 0)
     return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=ordered)
@@ -316,7 +325,7 @@ def edge_list_text(draw):
         elif kind == 1:
             lines.append(draw(st.sampled_from(["# header", "#", "  # indented", "\t"])))
         else:
-            fields = [str(draw(st.integers(1, 2)))]
+            fields = [str(draw(st.sampled_from([1, 2, 10**10])))]
             fields += [str(draw(st.sampled_from(pool))) for _ in range(2)]
             if widths == "4" or (widths == "mixed" and draw(st.booleans())):
                 fields.append(draw(weight))
@@ -374,20 +383,69 @@ class TestAgainstLineLoop:
 @st.composite
 def writable_multiplex(draw):
     """Binary symmetric layers without self-loops that the edge-list format
-    keeps as they are: every node has an edge and the last layer is not empty."""
+    keeps as they are: every node and every layer has an edge."""
     n = draw(st.integers(2, 8))
     L = draw(st.integers(1, 4))
     ids = sorted(draw(st.sets(st.integers(1, 10**6), min_size=n, max_size=n)))
     bits = draw(st.lists(st.booleans(), min_size=L * n * n, max_size=L * n * n))
     upper = np.triu(np.array(bits, dtype=float).reshape(L, n, n), k=1)
     layers = upper + upper.transpose(0, 2, 1)
-    # the reader drops isolated nodes and trailing empty layers
+    # the reader drops isolated nodes and layers without edges
     for i in np.flatnonzero(layers.sum(axis=(0, 2)) == 0):
         j = (i + 1) % n
         layers[-1, i, j] = layers[-1, j, i] = 1
-    if not layers[-1].any():
-        layers[-1, 0, 1] = layers[-1, 1, 0] = 1
+    for layer in layers:
+        if not layer.any():
+            layer[0, 1] = layer[1, 0] = 1
     return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=tuple(ids))
+
+
+def loop_writer_text(data):
+    """The per-edge loop that preceded the vectorised writer: the reference
+    for its text."""
+    lines = []
+    net = data.network
+    for l in range(net.L):
+        layer = net.layers[l]
+        rows, cols = np.nonzero(np.triu(layer))
+        for i, j in zip(rows, cols):
+            u, v = data.node_ids[i], data.node_ids[j]
+            if net.binary:
+                lines.append(f"{l + 1} {u} {v}")
+            else:
+                lines.append(f"{l + 1} {u} {v} {layer[i, j]:.10g}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+@st.composite
+def any_multiplex(draw):
+    """Binary or weighted symmetric layers, self-loops and empty layers
+    allowed, with node ids of any kind."""
+    n = draw(st.integers(1, 6))
+    L = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        value = st.sampled_from([0.0, 1.0])
+    else:
+        value = st.one_of(
+            st.sampled_from([0.0, 0.0, 0.1, 1 / 3, 1.0]),
+            st.floats(0, 1e300),
+            st.integers(1, 10**6).map(lambda k: k / 7),
+        )
+    cells = draw(st.lists(value, min_size=L * n * n, max_size=L * n * n))
+    upper = np.triu(np.array(cells, dtype=float).reshape(L, n, n))
+    layers = upper + np.triu(upper, k=1).transpose(0, 2, 1)
+    node_id = st.one_of(st.integers(-(2**70), 2**70), st.text("ab_-é7", max_size=3))
+    ids = draw(st.lists(node_id, min_size=n, max_size=n))
+    return MultiplexData(network=MultiLayerNetwork(layers=layers), node_ids=tuple(ids))
+
+
+class TestEdgeListWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(data=any_multiplex())
+    def test_text_equals_loop_writer(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("writer") / "net.edges"
+        write_multiplex_edges(data, path)
+        assert path.read_bytes() == loop_writer_text(data).encode()
 
 
 class TestEdgeListRoundTrip:
@@ -510,6 +568,20 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "est" / "membership.csv").exists()
         assert (tmp_path / "est" / "nodes.csv").exists()
+
+    def test_huge_layer_id_estimates_as_layer_one(self, tmp_path, capsys):
+        for name, line in (("small", "1 1 2"), ("huge", "10000000000 1 2")):
+            path = tmp_path / f"{name}.edges"
+            path.write_text(line + "\n")
+            code = cli_main(
+                ["estimate", "--data", str(path), "--method", "spsum", "--k", "1",
+                 "--out-dir", str(tmp_path / name)]
+            )
+            assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for output in ("membership.csv", "nodes.csv"):
+            small = (tmp_path / "small" / output).read_bytes()
+            assert (tmp_path / "huge" / output).read_bytes() == small
 
     def test_estimate_k_too_large_exit_2(self, tmp_path, capsys):
         out = tmp_path / "sim.edges"
