@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +40,23 @@ class Embedding:
     @property
     def K(self) -> int:
         return self.vectors.shape[1]
+
+    def leading(self, K: int) -> Embedding:
+        """The embedding of the first K pairs, with the tie note at K.
+
+        On the dense path this is bit for bit ``top_k_eigen(agg, K)`` of the
+        aggregate that gave this embedding: one decomposition orders every
+        pair, and the sign of each column depends on that column alone.
+        """
+        if not (1 <= K <= self.K):
+            raise DimensionError(f"K={K} out of range for an embedding of {self.K} pairs")
+        if K == self.K:
+            return self
+        return Embedding(
+            vectors=np.ascontiguousarray(self.vectors[:, :K]),
+            eigenvalues=self.eigenvalues[:K].copy(),
+            warnings=_tie_notes(self.eigenvalues, K),
+        )
 
 
 def layer_squares(net: MultiLayerNetwork | ExpectationStack) -> Iterator[np.ndarray]:
@@ -99,8 +116,21 @@ def build_sos(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
 
 def _order_by_magnitude(values: np.ndarray) -> np.ndarray:
     # magnitude descending; ties by signed value descending, then column index
-    return np.array(
-        sorted(range(len(values)), key=lambda i: (-abs(values[i]), -values[i], i))
+    # (lexsort is stable and sorts by its last key first)
+    return np.lexsort((-values, -np.abs(values)))
+
+
+def _tie_notes(ordered: np.ndarray, K: int) -> tuple[str, ...]:
+    """The K/K+1 tie note for eigenvalues ordered by decreasing magnitude."""
+    if len(ordered) <= K:
+        return ()
+    gap = abs(abs(ordered[K - 1]) - abs(ordered[K]))
+    scale = max(abs(ordered[0]), 1e-300)
+    if gap > 1e-10 * scale:
+        return ()
+    return (
+        "eigenvalue magnitude tie across the K/K+1 boundary; "
+        "embedding is not uniquely determined",
     )
 
 
@@ -138,19 +168,31 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
                 f"Lanczos did not converge to the top {K} eigenpairs: {exc}"
             ) from exc
     order = _order_by_magnitude(values)
-    top_vals = values[order[:K]]
-    top_vecs = vectors[:, order[:K]]
-    notes: list[str] = []
-    if len(values) > K:
-        gap = abs(abs(values[order[K - 1]]) - abs(values[order[K]]))
-        scale = max(abs(values[order[0]]), 1e-300)
-        if gap <= 1e-10 * scale:
-            notes.append(
-                "eigenvalue magnitude tie across the K/K+1 boundary; "
-                "embedding is not uniquely determined"
-            )
     return Embedding(
-        vectors=_fix_signs(top_vecs),
-        eigenvalues=np.asarray(top_vals, dtype=float),
-        warnings=tuple(notes),
+        vectors=_fix_signs(vectors[:, order[:K]]),
+        eigenvalues=np.asarray(values[order[:K]], dtype=float),
+        warnings=_tie_notes(values[order[: K + 1]], K),
     )
+
+
+def embedding_source(agg: AggregateMatrix, k_max: int) -> Callable[[int], Embedding]:
+    """A function giving ``top_k_eigen(agg, K)`` for each K in 1..k_max.
+
+    On the dense path it slices one ``top_k_eigen(agg, k_max)``, which keeps
+    k_max columns; if that decomposition raises, the function raises the
+    same error at every K. On the Lanczos path it calls ``top_k_eigen`` at
+    each K, because ARPACK run for k_max+1 pairs converges to other floats
+    than a run for K+1.
+    """
+    if agg.n > DENSE_EIG_LIMIT:
+        return lambda K: top_k_eigen(agg, K)
+    try:
+        shared = top_k_eigen(agg, k_max)
+    except Exception as exc:  # noqa: BLE001 - each K raises what its own call would
+        error = exc
+
+        def fail(K: int) -> Embedding:
+            raise error
+
+        return fail
+    return shared.leading

@@ -17,6 +17,7 @@ import numpy as np
 
 from .aggregate import (
     AggregateMatrix,
+    Embedding,
     build_asum,
     build_sos,
     build_ssum_debiased,
@@ -81,8 +82,13 @@ def build_aggregate(net: MultiLayerNetwork, method: str) -> AggregateMatrix:
 
 def estimate(agg: AggregateMatrix, K: int, method: str) -> EstimationResult:
     """Top-K eigenvectors, successive projection and reconstruction on agg."""
-    emb = top_k_eigen(agg, K)
-    vertices = successive_projection(emb.vectors, K)
+    return estimate_from_embedding(top_k_eigen(agg, K), method)
+
+
+def estimate_from_embedding(emb: Embedding, method: str) -> EstimationResult:
+    """Successive projection and reconstruction on the top-K embedding of an
+    aggregate built for the method id."""
+    vertices = successive_projection(emb.vectors, emb.K)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ZeroRowFallbackWarning)
         pi_hat = estimate_memberships(emb, vertices)

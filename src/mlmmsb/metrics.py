@@ -16,7 +16,8 @@ from .errors import (
     EmptyNetworkError,
     ModelSelectionError,
 )
-from .estimators import build_aggregate, estimate
+from .aggregate import embedding_source
+from .estimators import build_aggregate, estimate_from_embedding
 from .model import MembershipMatrix, MultiLayerNetwork
 
 HIGHLY_MIXED = "HIGHLY_MIXED"
@@ -71,11 +72,14 @@ def membership_errors(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> Er
     )
 
 
-def _fuzzy_modularity(adj: np.ndarray, gram: np.ndarray) -> float:
-    """Fuzzy modularity of one adjacency matrix; ``gram`` is Pi Pi^T."""
-    degrees = adj.sum(axis=1)
+def _fuzzy_modularity(
+    adj: np.ndarray, degrees: np.ndarray, gram: np.ndarray, buf: np.ndarray | None = None
+) -> float:
+    """Fuzzy modularity of one adjacency matrix with row sums ``degrees``;
+    ``gram`` is Pi Pi^T and ``buf``, if given, an n x n scratch array."""
     m = float(degrees.sum())
-    return (float(np.sum(adj * gram)) - float(degrees @ gram @ degrees) / m) / m
+    overlap = float(np.sum(np.multiply(adj, gram, out=buf)))
+    return (overlap - float(degrees @ gram @ degrees) / m) / m
 
 
 def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
@@ -83,9 +87,11 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
     asum = net.layers.sum(axis=0)
-    if asum.sum() == 0:
+    degrees = asum.sum(axis=1)
+    # entries are nonnegative, so a zero degree sum means no edges at all
+    if degrees.sum() == 0:
         raise EmptyNetworkError("network has no edges")
-    return _fuzzy_modularity(asum, pi_hat.rows @ pi_hat.rows.T)
+    return _fuzzy_modularity(asum, degrees, pi_hat.rows @ pi_hat.rows.T)
 
 
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
@@ -93,13 +99,16 @@ def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
     gram = pi_hat.rows @ pi_hat.rows.T
+    buf = np.empty_like(gram)
     values = []
     skipped = 0
     for layer in net.layers:
-        if layer.sum() == 0:
+        degrees = layer.sum(axis=1)
+        # entries are nonnegative, so a zero degree sum means an empty layer
+        if degrees.sum() == 0:
             skipped += 1
             continue
-        values.append(_fuzzy_modularity(layer, gram))
+        values.append(_fuzzy_modularity(layer, degrees, gram, buf))
     if not values:
         raise EmptyNetworkError("all layers are empty")
     if skipped:
@@ -161,10 +170,11 @@ def estimate_k(
 ) -> SelectionResult:
     """Pick the community count maximizing a fuzzy modularity criterion.
 
-    Builds the method's aggregate once, runs the rest of the estimator at
-    each candidate K and scores the resulting memberships; ties go to the
-    smaller K. An aggregate that cannot be built raises; candidates where
-    the estimator fails are skipped and recorded.
+    Builds the method's aggregate once, takes each candidate's embedding
+    from ``embedding_source`` (one decomposition on the dense path), runs
+    the rest of the estimator at each K and scores the resulting
+    memberships; ties go to the smaller K. An aggregate that cannot be built
+    raises; candidates where the estimator fails are skipped and recorded.
     """
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
@@ -175,12 +185,12 @@ def estimate_k(
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
     score_fn = q_fsum if crit == FSUM else q_fmean
-    agg = build_aggregate(net, method)
+    embedding_at = embedding_source(build_aggregate(net, method), k_values[-1])
     scores: dict[int, float] = {}
     failures: dict[int, str] = {}
     for k in k_values:
         try:
-            result = estimate(agg, k, method)
+            result = estimate_from_embedding(embedding_at(k), method)
             scores[k] = score_fn(net, result.pi_hat)
         except Exception as exc:  # noqa: BLE001 - record and move on
             failures[k] = f"{type(exc).__name__}: {exc}"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlmmsb import (
     DimensionError,
@@ -17,7 +19,12 @@ from mlmmsb import (
     sample_mlmmsb,
     top_k_eigen,
 )
-from mlmmsb.aggregate import DENSE_EIG_LIMIT, AggregateMatrix
+from mlmmsb.aggregate import (
+    DENSE_EIG_LIMIT,
+    AggregateMatrix,
+    _order_by_magnitude,
+    embedding_source,
+)
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -194,6 +201,97 @@ class TestTopKEigen:
         emb = top_k_eigen(AggregateMatrix(m), 4)
         gram = emb.vectors.T @ emb.vectors
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
+
+
+def key_sort_order(values):
+    """Magnitude order by a Python key sort, as the package computed it
+    before it used np.lexsort: the reference for _order_by_magnitude."""
+    return np.array(
+        sorted(range(len(values)), key=lambda i: (-abs(values[i]), -values[i], i)),
+        dtype=np.intp,
+    )
+
+
+class TestOrderByMagnitude:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1.0, 3.0]),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_equals_key_sort(self, values):
+        values = np.array(values)
+        assert np.array_equal(_order_by_magnitude(values), key_sort_order(values))
+
+    def test_ties_by_signed_value_then_index(self):
+        values = np.array([-2.0, 0.0, 2.0, -0.0, 1.0, -2.0])
+        assert list(_order_by_magnitude(values)) == [2, 0, 5, 4, 1, 3]
+
+
+def sampled_dsos(n, K=3, L=4):
+    pi = generate_membership(n, K, n // (2 * K), seed=n)
+    net = sample_mlmmsb(pi, generate_connectivity(K, L, seed=K, rho=0.3), seed=n + 1)
+    return build_ssum_debiased(net)
+
+
+def assert_same_embedding(got, want):
+    assert np.array_equal(got.vectors, want.vectors)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    assert got.warnings == want.warnings
+
+
+class TestSharedDecomposition:
+    @pytest.mark.parametrize("n", [61, 600])
+    def test_each_k_equals_its_own_decomposition(self, n):
+        agg = sampled_dsos(n)
+        embedding_at = embedding_source(agg, 6)
+        for K in range(1, 7):
+            assert_same_embedding(embedding_at(K), top_k_eigen(agg, K))
+
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 4])
+    def test_tie_notes_match(self, k_max):
+        # |3| = |-3| ties across K = 1 and |1| = |-1| across K = 3
+        agg = AggregateMatrix(np.diag([3.0, -3.0, 1.0, -1.0, 0.5]))
+        embedding_at = embedding_source(agg, k_max)
+        for K in range(1, k_max + 1):
+            want = top_k_eigen(agg, K)
+            assert bool(want.warnings) == (K in (1, 3))
+            assert_same_embedding(embedding_at(K), want)
+
+    def test_one_dense_eigh(self, monkeypatch):
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        embedding_at = embedding_source(sampled_dsos(61), 5)
+        for K in range(1, 6):
+            embedding_at(K)
+        assert calls == [(61, 61)]
+
+    def test_shared_error_raised_at_every_k(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        embedding_at = embedding_source(sampled_dsos(61), 4)
+        for K in range(1, 5):
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                embedding_at(K)
+
+    def test_leading_out_of_range(self):
+        emb = top_k_eigen(AggregateMatrix(np.diag([3.0, 2.0, 1.0])), 2)
+        for K in (0, 3):
+            with pytest.raises(DimensionError):
+                emb.leading(K)
 
 
 class TestIdealSimplex:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from mlmmsb import (
     MembershipMatrix,
     ModelSelectionError,
     MultiLayerNetwork,
+    RankDeficiencyError,
     UnsupportedInputError,
     classify_nodes,
     estimate_k,
@@ -24,6 +26,7 @@ from mlmmsb import (
     spdsos,
 )
 from mlmmsb import estimators
+from mlmmsb.aggregate import DENSE_EIG_LIMIT
 from mlmmsb.errors import EmptyLayerWarning
 from mlmmsb.metrics import HIGHLY_MIXED, HIGHLY_PURE, NEUTRAL
 
@@ -194,6 +197,18 @@ class TestModularity:
         assert q_fmean(net, pi_hat) == float(np.mean(values))
         assert q_fsum(net, pi_hat) == per_layer_modularity(net.layers.sum(axis=0), rows)
 
+    def test_empty_and_weighted_layers_equal_per_layer_formula(self):
+        pi = generate_membership(60, 3, 10, seed=1)
+        binary = sample_mlmmsb(pi, generate_connectivity(3, 1, seed=2, rho=0.5), seed=3)
+        a = binary.layers[0]
+        weighted = np.where(a > 0, np.random.default_rng(4).choice([0.1, 1 / 3, 2.5], a.shape), 0.0)
+        weighted = np.triu(weighted) + np.triu(weighted, k=1).T
+        net = MultiLayerNetwork(layers=np.stack([a, np.zeros_like(a), weighted]))
+        rows = np.random.default_rng(5).dirichlet(np.ones(3), 60)
+        expected = float(np.mean([per_layer_modularity(x, rows) for x in (a, weighted)]))
+        with pytest.warns(EmptyLayerWarning, match="skipped 1 empty"):
+            assert q_fmean(net, MembershipMatrix(rows=rows)) == expected
+
     def test_matches_newman_girvan_for_pure_single_layer(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -284,6 +299,65 @@ class TestEstimateK:
         expected = {k: q_fmean(net, spdsos(net, k).pi_hat) for k in range(2, 7)}
         assert selection.scores == expected
         assert not selection.failures
+
+    def test_one_dense_decomposition(self, monkeypatch):
+        net = self.planted_two_block()
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        selection = estimate_k(net, "spdsos", range(2, 7), "fmean")
+        assert calls == [(net.n, net.n)]
+        assert sorted(selection.scores) == [2, 3, 4, 5, 6]
+
+    def test_failing_k_recorded_while_others_scored(self, monkeypatch):
+        net = self.planted_two_block()
+        expected = estimate_k(net, "spsum", range(2, 7), "fsum").scores
+        project = estimators.successive_projection
+
+        def failing_at_4(rows, K):
+            if K == 4:
+                raise RankDeficiencyError("residual collapsed after 3 of 4 picks")
+            return project(rows, K)
+
+        monkeypatch.setattr(estimators, "successive_projection", failing_at_4)
+        selection = estimate_k(net, "spsum", range(2, 7), "fsum")
+        assert selection.failures == {
+            4: "RankDeficiencyError: residual collapsed after 3 of 4 picks"
+        }
+        del expected[4]
+        assert selection.scores == expected
+
+    def test_shared_decomposition_error_recorded_at_every_k(self, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(ModelSelectionError) as info:
+            estimate_k(self.planted_two_block(), "spsum", [2, 3, 5])
+        for k in (2, 3, 5):
+            assert f"{k}: 'LinAlgError: Eigenvalues did not converge'" in str(info.value)
+
+    def test_lanczos_path_one_call_per_k(self, monkeypatch):
+        n = DENSE_EIG_LIMIT + 52
+        net = self.planted_two_block(n=n, L=2, rho=0.05, seed=1)
+        agg = estimators.build_aggregate(net, "spsum")
+        expected = {k: q_fmean(net, estimators.estimate(agg, k, "spsum").pi_hat) for k in (2, 3, 4)}
+        eigsh = scipy.sparse.linalg.eigsh
+        calls = []
+
+        def counting(matrix, k, **kwargs):
+            calls.append(k)
+            return eigsh(matrix, k, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        selection = estimate_k(net, "spsum", (2, 3, 4), "fmean")
+        assert calls == [3, 4, 5]
+        assert selection.scores == expected
 
     def test_weighted_spdsos_raises(self):
         net = MultiLayerNetwork(layers=0.5 * np.ones((1, 4, 4)))
