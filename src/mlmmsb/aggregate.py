@@ -62,14 +62,15 @@ class Embedding:
 def layer_squares(net: MultiLayerNetwork | ExpectationStack) -> Iterator[np.ndarray]:
     """Yield A_l @ A_l for each layer in turn, in one buffer reused across layers.
 
-    Read each square before asking for the next. Binary layers are squared in
-    float32: every entry of their square is an integer no larger than n, and
-    below 2**24 nodes float32 holds every partial sum exactly, so the values
-    are those of the float64 product. Weighted layers and expectation stacks
-    are squared in float64.
+    Read each square before asking for the next. Each layer is cast into a
+    float buffer first, since a ``uint8`` product would wrap past 255. Binary
+    layers are squared in float32: every entry of their square is an integer
+    no larger than n, and below 2**24 nodes float32 holds every partial sum
+    exactly, so the values are those of the float64 product. Weighted layers
+    and expectation stacks are squared in float64.
     """
     n = net.n
-    exact_in_float32 = isinstance(net, MultiLayerNetwork) and net.binary and n < 2**24
+    exact_in_float32 = net.layers.dtype == np.uint8 and n < 2**24
     dtype = np.float32 if exact_in_float32 else np.float64
     cast = np.empty((n, n), dtype)
     product = np.empty((n, n), dtype)
@@ -88,7 +89,7 @@ def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
 
 def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Entrywise sum of all layers."""
-    return AggregateMatrix(matrix=net.layers.sum(axis=0))
+    return AggregateMatrix(matrix=net.layers.sum(axis=0, dtype=float))
 
 
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
@@ -105,7 +106,7 @@ def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
     # binary layers keep every sum an exact integer, so subtracting the summed
     # degrees once gives the same bits as subtracting them layer by layer
     out = _square_sum(net)
-    out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2))
+    out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2), dtype=float)
     return AggregateMatrix(matrix=out)
 
 

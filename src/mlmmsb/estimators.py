@@ -71,7 +71,7 @@ def build_aggregates(
                 yield debiased
             else:
                 sos = debiased.matrix.copy()
-                sos[np.diag_indices_from(sos)] += net.layers.sum(axis=(0, 2))
+                sos[np.diag_indices_from(sos)] += net.layers.sum(axis=(0, 2), dtype=float)
                 yield AggregateMatrix(matrix=sos)
 
 

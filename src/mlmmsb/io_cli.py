@@ -162,7 +162,8 @@ def read_multiplex_edges(
     Node ids are remapped to dense 0-based indices; the original ids come
     back in ``node_ids``. Layer ids are remapped the same way, in sorted
     order, so a layer id that no line names takes no layer. Duplicate edges
-    collapse in binarize mode and accumulate in weighted mode, in file order.
+    accumulate in file order; in binarize mode a cell whose sum is positive
+    is an edge, and the layers come back as a ``uint8`` stack.
     """
     try:
         with open(path) as handle:
@@ -177,15 +178,21 @@ def read_multiplex_edges(
     node_ids, index = np.unique(np.concatenate([u, v]), return_inverse=True)
     n = node_ids.size
     i, j = index[: layer.size], index[layer.size :]
-    layers = np.zeros((layer_ids.size, n, n))
-    # each record adds to (i, j), then to (j, i) unless it is a self-loop, so
-    # every cell sums its weights in file order
+    shape = (layer_ids.size, n, n)
+    # each record names (i, j), then (j, i) unless it is a self-loop
     cells = layer_index[:, None] * (n * n) + np.column_stack([i * n + j, j * n + i])
     off_diagonal = i != j
     keep = np.column_stack([off_diagonal | (not drop_self_loops), off_diagonal])
-    np.add.at(layers.reshape(-1), cells[keep], np.repeat(weight, keep.sum(axis=1)))
-    if binarize:
-        np.copyto(layers, layers > 0)
+    if binarize and (weight > 0).all():
+        # a sum of positive weights is positive: every named cell is an edge
+        layers = np.zeros(shape, dtype=np.uint8)
+        layers.reshape(-1)[cells[keep]] = 1
+    else:
+        # every cell sums its weights in file order
+        layers = np.zeros(shape)
+        np.add.at(layers.reshape(-1), cells[keep], np.repeat(weight, keep.sum(axis=1)))
+        if binarize:
+            layers = (layers > 0).astype(np.uint8)
     return MultiplexData(
         network=MultiLayerNetwork(layers=layers), node_ids=tuple(node_ids.tolist())
     )

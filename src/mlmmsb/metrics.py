@@ -86,7 +86,7 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Fuzzy modularity of the summed adjacency matrix under soft memberships."""
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    asum = net.layers.sum(axis=0)
+    asum = net.layers.sum(axis=0, dtype=float)
     degrees = asum.sum(axis=1)
     # entries are nonnegative, so a zero degree sum means no edges at all
     if degrees.sum() == 0:
@@ -103,7 +103,7 @@ def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     values = []
     skipped = 0
     for layer in net.layers:
-        degrees = layer.sum(axis=1)
+        degrees = layer.sum(axis=1, dtype=float)
         # entries are nonnegative, so a zero degree sum means an empty layer
         if degrees.sum() == 0:
             skipped += 1

@@ -87,6 +87,7 @@ def float64_square_sum(layers):
     the squared builders."""
     out = np.zeros(layers.shape[1:])
     for a in layers:
+        a = a.astype(np.float64)
         out += a @ a
     return out
 
@@ -102,7 +103,7 @@ class TestSquaresAgainstFloat64:
         assert net.binary
         reference = float64_square_sum(net.layers)
         assert np.array_equal(build_sos(net).matrix, reference)
-        reference[np.diag_indices(n)] -= net.layers.sum(axis=(0, 2))
+        reference[np.diag_indices(n)] -= net.layers.sum(axis=(0, 2), dtype=float)
         assert np.array_equal(build_ssum_debiased(net).matrix, reference)
 
     def test_weighted_sos_equals_float64_loop(self):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 
@@ -81,6 +82,28 @@ class TestEdgeListParsing:
         path.write_text("# nothing\n")
         with pytest.raises(EmptyNetworkError):
             read_multiplex_edges(path)
+
+    def test_layer_dtype_follows_binarize(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2 3.5\n1 2 3\n")
+        assert read_multiplex_edges(path).network.layers.dtype == np.uint8
+        weighted = read_multiplex_edges(path, binarize=False).network
+        assert weighted.layers.dtype == np.float64
+        assert not weighted.binary
+
+    def test_binarize_never_holds_a_float_stack(self, tmp_path):
+        n, L = 800, 2
+        path = tmp_path / "net.edges"
+        path.write_text("".join(f"{l} {i} {i % n + 1}\n" for l in (1, 2) for i in range(1, n + 1)))
+        tracemalloc.start()
+        try:
+            layers = read_multiplex_edges(path).network.layers
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layers.shape == (L, n, n)
+        # a float64 stack alone would take 8 * L * n * n bytes
+        assert peak < 8 * L * n * n / 2
 
     def test_binarize_collapses_weights(self, tmp_path):
         path = tmp_path / "net.edges"
@@ -361,6 +384,33 @@ class TestAgainstLineLoop:
                     assert got == want
                 else:
                     assert got.node_ids == want.node_ids
+                    assert got.network.layers.dtype == want.network.layers.dtype
+                    assert np.array_equal(got.network.layers, want.network.layers)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [["0"], ["-1"], ["1", "-1"], ["1e16", "1", "-1e16"]],
+        ids=["zero", "negative", "sum-zero", "sum-zero-in-file-order"],
+    )
+    def test_non_positive_sum_is_no_edge(self, tmp_path, weights):
+        # (2, 3) is listed in both directions, once per weight
+        lines = ["1 1 2"]
+        lines += [f"1 {u} {v} {w}" for (u, v), w in zip([(2, 3), (3, 2)] * 2, weights)]
+        path = tmp_path / "net.edges"
+        path.write_text("\n".join(lines) + "\n")
+        layers = read_multiplex_edges(path).network.layers
+        assert layers.dtype == np.uint8
+        assert layers[0, 0, 1] == 1
+        assert layers[0, 1, 2] == layers[0, 2, 1] == 0
+        for binarize in (True, False):
+            for drop in (True, False):
+                got = outcome(read_multiplex_edges, path, binarize, drop)
+                want = outcome(line_loop_reader, path, binarize, drop)
+                if isinstance(want, tuple):  # a negative weighted cell
+                    assert got == want
+                else:
+                    assert got.node_ids == want.node_ids
+                    assert got.network.layers.dtype == want.network.layers.dtype
                     assert np.array_equal(got.network.layers, want.network.layers)
 
     @settings(max_examples=100, deadline=None)

@@ -133,7 +133,9 @@ class TestPermutationErrors:
 
 def per_layer_modularity(a, rows):
     """Fuzzy modularity of one layer, Gram matrix built inside, as the
-    package computed it before q_fmean shared one Gram matrix across layers."""
+    package computed it before q_fmean shared one Gram matrix across layers,
+    in float64."""
+    a = np.asarray(a, dtype=np.float64)
     degrees = a.sum(axis=1)
     m = float(degrees.sum())
     gram = rows @ rows.T

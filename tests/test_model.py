@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mlmmsb import (
     ConfigError,
     ConnectivityStack,
+    DegeneracyWarning,
     DimensionError,
     MembershipMatrix,
     MultiLayerNetwork,
@@ -78,6 +79,71 @@ class TestTypes:
         assert MultiLayerNetwork(layers=ones).binary
         assert not MultiLayerNetwork(layers=0.5 * ones).binary
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_membership_rejects_non_finite(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            MembershipMatrix(rows=[[value, value], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_connectivity_rejects_non_finite(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            ConnectivityStack(matrices=np.full((2, 2, 2), value), rho=0.5)
+
+
+@st.composite
+def symmetric_layers(draw):
+    """A symmetric (L, n, n) array of bool, uint8 or float64 entries, binary
+    or not."""
+    dtype = draw(st.sampled_from([np.bool_, np.uint8, np.float64]))
+    values = {
+        np.bool_: st.booleans(),
+        np.uint8: st.sampled_from([0, 1, 1, 2, 255]),
+        np.float64: st.sampled_from([0.0, -0.0, 1.0, 1.0, 0.5, 2.0, 1e300]),
+    }[dtype]
+    if draw(st.booleans()):
+        values = st.sampled_from([dtype(0), dtype(1)])
+    L, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    cells = draw(st.lists(values, min_size=L * n * n, max_size=L * n * n))
+    upper = np.triu(np.array(cells, dtype=dtype).reshape(L, n, n))
+    return upper + np.triu(upper, k=1).transpose(0, 2, 1)
+
+
+class TestLayerDtype:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_, np.uint8])
+    def test_binary_input_is_stored_as_uint8(self, dtype):
+        layers = np.array([[[0, 1], [1, 1]], [[0, 0], [0, 0]]], dtype=dtype)
+        net = MultiLayerNetwork(layers=layers)
+        assert net.layers.dtype == np.uint8
+        assert net.binary
+        assert np.array_equal(net.layers, layers)
+
+    def test_uint8_count_above_one_is_weighted(self):
+        layers = np.array([[[0, 2], [2, 1]]], dtype=np.uint8)
+        net = MultiLayerNetwork(layers=layers)
+        assert net.layers.dtype == np.float64
+        assert not net.binary
+        assert np.array_equal(net.layers, layers)
+
+    def test_uint8_must_be_symmetric(self):
+        layers = np.zeros((2, 2, 2), dtype=np.uint8)
+        layers[1, 0, 1] = 1
+        with pytest.raises(ConfigError, match="symmetric"):
+            MultiLayerNetwork(layers=layers)
+
+    @settings(max_examples=300, deadline=None)
+    @given(layers=symmetric_layers())
+    def test_stored_values_equal_input(self, layers):
+        net = MultiLayerNetwork(layers=layers)
+        assert np.array_equal(net.layers, layers)
+        binary = bool(np.isin(layers, (0, 1)).all())
+        assert net.layers.dtype == (np.uint8 if binary else np.float64)
+        assert net.binary == binary
+
+    def test_sampler_returns_uint8(self):
+        pi = generate_membership(30, 3, 6, seed=2)
+        net = sample_mlmmsb(pi, generate_connectivity(3, 4, seed=7, rho=0.5), seed=1)
+        assert net.layers.dtype == np.uint8
+
 
 class TestExpectedAdjacency:
     def test_identity_case(self):
@@ -149,21 +215,25 @@ class TestAgainstEinsum:
 
 
 class TestSampler:
+    # an all-ones connectivity matrix has rank 1 < K = 2: the sampler warns
     def test_zero_rho_samples_empty(self):
         pi = MembershipMatrix(rows=np.eye(2))
-        net = sample_mlmmsb(pi, stack([np.ones((2, 2))], rho=0.0), seed=5)
+        with pytest.warns(DegeneracyWarning):
+            net = sample_mlmmsb(pi, stack([np.ones((2, 2))], rho=0.0), seed=5)
         assert np.all(net.layers == 0)
 
     def test_probability_one_gives_all_ones(self):
         pi = MembershipMatrix(rows=np.eye(2))
-        net = sample_mlmmsb(pi, stack([np.ones((2, 2))]), seed=5)
+        with pytest.warns(DegeneracyWarning):
+            net = sample_mlmmsb(pi, stack([np.ones((2, 2))]), seed=5)
         assert np.all(net.layers == 1)  # includes the diagonal
 
     def test_self_loop_flag_zeroes_diagonal(self):
         pi = MembershipMatrix(rows=np.eye(2))
-        net = sample_mlmmsb(
-            pi, stack([np.ones((2, 2))]), seed=5, allow_self_loops=False
-        )
+        with pytest.warns(DegeneracyWarning):
+            net = sample_mlmmsb(
+                pi, stack([np.ones((2, 2))]), seed=5, allow_self_loops=False
+            )
         assert np.all(np.diagonal(net.layers, axis1=1, axis2=2) == 0)
         assert net.layers[0, 0, 1] == 1
 
