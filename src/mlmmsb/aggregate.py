@@ -12,6 +12,8 @@ from .errors import DimensionError, UnsupportedInputError, UnusableDataError
 from .model import ExpectationStack, MultiLayerNetwork
 
 DENSE_EIG_LIMIT = 2048
+# float32 holds every integer up to 2**24 exactly
+FLOAT32_EXACT = 2**24
 
 
 @dataclass(frozen=True)
@@ -65,26 +67,39 @@ def layer_squares(net: MultiLayerNetwork | ExpectationStack) -> Iterator[np.ndar
     Read each square before asking for the next. Each layer is cast into a
     float buffer first, since a ``uint8`` product would wrap past 255. Binary
     layers are squared in float32: every entry of their square is an integer
-    no larger than n, and below 2**24 nodes float32 holds every partial sum
-    exactly, so the values are those of the float64 product. Weighted layers
-    and expectation stacks are squared in float64.
+    no larger than n, and below ``FLOAT32_EXACT`` nodes float32 holds every
+    partial sum exactly, so the values are those of the float64 product. They
+    are squared as A_l @ A_l.T, which is A_l @ A_l for a symmetric layer and
+    which numpy hands to BLAS ``syrk``. Weighted layers and expectation
+    stacks are squared in float64 as A_l @ A_l.
     """
     n = net.n
-    exact_in_float32 = net.layers.dtype == np.uint8 and n < 2**24
-    dtype = np.float32 if exact_in_float32 else np.float64
+    binary = net.layers.dtype == np.uint8
+    dtype = np.float32 if binary and n < FLOAT32_EXACT else np.float64
     cast = np.empty((n, n), dtype)
     product = np.empty((n, n), dtype)
+    right = cast.T if binary else cast
     for a in net.layers:
         np.copyto(cast, a)
-        np.matmul(cast, cast, out=product)
+        np.matmul(cast, right, out=product)
         yield product
 
 
 def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
-    out = np.zeros((net.n, net.n))
+    """Sum of A_l @ A_l over layers, in float64.
+
+    Binary squares are added in float32 while L·n < ``FLOAT32_EXACT``: each
+    partial sum is then an integer no larger than L·n, held exactly. The
+    float64 copy is made once the cast and product buffers are gone.
+    """
+    exact = net.layers.dtype == np.uint8 and net.L * net.n < FLOAT32_EXACT
+    total = np.zeros((net.n, net.n), np.float32 if exact else np.float64)
     for square in layer_squares(net):
-        out += square
-    return out
+        total += square
+    # the finished generator has let go of its buffers; the loop variable
+    # still holds the last product
+    square = None
+    return total.astype(np.float64, copy=False)
 
 
 def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:

@@ -1,3 +1,7 @@
+import ast
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -19,11 +23,13 @@ from mlmmsb import (
     sample_mlmmsb,
     top_k_eigen,
 )
+from mlmmsb import aggregate
 from mlmmsb.aggregate import (
     DENSE_EIG_LIMIT,
     AggregateMatrix,
     _order_by_magnitude,
     embedding_source,
+    layer_squares,
 )
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -118,6 +124,96 @@ class TestSquaresAgainstFloat64:
         pi = generate_membership(61, 3, 10, seed=3)
         omega = expected_adjacency(pi, generate_connectivity(3, 4, seed=4, rho=0.3))
         assert np.array_equal(build_sos(omega).matrix, float64_square_sum(omega.layers))
+
+    @pytest.mark.parametrize("squares", ["float32", "float64"])
+    @pytest.mark.parametrize("n", [61, 600])
+    def test_float64_accumulator_equals_float64_loop(self, monkeypatch, n, squares):
+        # a bound in (n, L*n] keeps float32 squares but sums them in float64;
+        # a bound of n squares in float64 too
+        monkeypatch.setattr(aggregate, "FLOAT32_EXACT", n + 1 if squares == "float32" else n)
+        net = sampled_binary(n, L=3)
+        assert next(layer_squares(net)).dtype == squares
+        reference = float64_square_sum(net.layers)
+        assert np.array_equal(build_sos(net).matrix, reference)
+        reference[np.diag_indices(n)] -= net.layers.sum(axis=(0, 2), dtype=float)
+        assert np.array_equal(build_ssum_debiased(net).matrix, reference)
+
+
+def sampled_binary(n, L, K=3):
+    pi = generate_membership(n, K, n // (2 * K), seed=n)
+    return sample_mlmmsb(pi, generate_connectivity(K, L, seed=K, rho=0.3), seed=n + 1)
+
+
+def traced_peak(build, net):
+    tracemalloc.start()
+    try:
+        build(net)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSquareSumMemory:
+    """float32 cast, product and sum take 12 n^2 bytes; the float64 result is
+    copied once they are gone. Summing in float64 takes 16 n^2."""
+
+    n = 800
+
+    def test_binary_debiased_peaks_below_13_n2(self):
+        net = sampled_binary(self.n, L=2)
+        assert traced_peak(build_ssum_debiased, net) < 13 * self.n**2
+
+    def test_float64_accumulator_past_the_bound(self, monkeypatch):
+        net = sampled_binary(self.n, L=2)
+        want = build_ssum_debiased(net).matrix
+        monkeypatch.setattr(aggregate, "FLOAT32_EXACT", 2 * self.n)
+        assert traced_peak(build_ssum_debiased, net) >= 15 * self.n**2
+        assert np.array_equal(build_ssum_debiased(net).matrix, want)
+
+
+def imported_modules(tree):
+    """Dotted names of every module an ast imports, or reaches by attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            yield ast.unparse(node)
+
+
+class TestBlasThroughNumpy:
+    """BLAS is reached only through numpy. ``scipy.linalg.blas`` and
+    ``scipy.linalg.lapack`` link scipy's own bundled OpenBLAS, a second
+    thread pool next to numpy's: squaring with ``scipy.linalg.blas.ssyrk``
+    on 2 cores slowed the select-k benchmark's ``wall_s`` from 0.31 to
+    0.50 s and the sweep's from 0.58 to 1.70 s, where numpy's ``A @ A.T``
+    reaches ``ssyrk`` in numpy's own pool."""
+
+    FORBIDDEN = ("scipy.linalg.blas", "scipy.linalg.lapack")
+
+    def test_no_scipy_blas_or_lapack(self):
+        package = pathlib.Path(aggregate.__file__).parent
+        found = []
+        for path in sorted(package.rglob("*.py")):
+            for name in imported_modules(ast.parse(path.read_text())):
+                if name.startswith(self.FORBIDDEN):
+                    found.append(f"{path.name}: {name}")
+        assert not found
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import scipy.linalg.blas",
+            "from scipy.linalg import lapack",
+            "from scipy.linalg.blas import ssyrk",
+            "import scipy.linalg\nscipy.linalg.blas.ssyrk(1.0, a)",
+        ],
+    )
+    def test_scan_sees_each_form(self, source):
+        names = imported_modules(ast.parse(source))
+        assert any(name.startswith(self.FORBIDDEN) for name in names)
 
 
 class TestTopKEigen:
@@ -235,9 +331,7 @@ class TestOrderByMagnitude:
 
 
 def sampled_dsos(n, K=3, L=4):
-    pi = generate_membership(n, K, n // (2 * K), seed=n)
-    net = sample_mlmmsb(pi, generate_connectivity(K, L, seed=K, rho=0.3), seed=n + 1)
-    return build_ssum_debiased(net)
+    return build_ssum_debiased(sampled_binary(n, L, K))
 
 
 def assert_same_embedding(got, want):

@@ -105,6 +105,24 @@ class TestEdgeListParsing:
         # a float64 stack alone would take 8 * L * n * n bytes
         assert peak < 8 * L * n * n / 2
 
+    def test_per_record_memory(self, tmp_path):
+        # 100,000 records on 50 nodes: the loadtxt records take 24 bytes each
+        # and the stack is 5 kB, so the id lookup and the fill set the peak;
+        # np.unique's inverse over both id columns took about 138 bytes a record
+        records = 100_000
+        rng = np.random.default_rng(0)
+        layer = rng.integers(1, 3, records)
+        u, v = rng.integers(1, 51, (2, records))
+        path = tmp_path / "net.edges"
+        np.savetxt(path, np.column_stack([layer, u, v]), fmt="%d")
+        tracemalloc.start()
+        try:
+            read_multiplex_edges(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * records
+
     def test_binarize_collapses_weights(self, tmp_path):
         path = tmp_path / "net.edges"
         path.write_text("1 1 2 5.0\n1 1 2 2.0\n")
@@ -699,6 +717,19 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "out" / "sweep_results.csv").exists()
+
+    def test_experiment_config_methods_with_spaces(self, tmp_path, capsys):
+        cfg = tmp_path / "spaced.cfg"
+        cfg.write_text(
+            "sweep=rho\nsweep_values=0.3, 0.6\nn=40\nL=4\nn0=8\n"
+            "repetitions=1\nbase_seed=5\nmethods=spsum, spdsos\n"
+        )
+        code = cli_main(
+            ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 0, capsys.readouterr().err
+        rows = (tmp_path / "out" / "spaced_results.csv").read_text().splitlines()[1:]
+        assert sorted({row.split(",")[0] for row in rows}) == ["SPDSOS", "SPSUM"]
 
     def test_select_k_on_planted_network(self, tmp_path, capsys):
         # two strong blocks: modularity peaks at K=2
