@@ -72,45 +72,53 @@ def membership_errors(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> Er
     )
 
 
-def _fuzzy_modularity(
-    adj: np.ndarray, degrees: np.ndarray, gram: np.ndarray, buf: np.ndarray | None = None
-) -> float:
-    """Fuzzy modularity of one adjacency matrix with row sums ``degrees``;
-    ``gram`` is Pi Pi^T and ``buf``, if given, an n x n scratch array."""
-    m = float(degrees.sum())
-    overlap = float(np.sum(np.multiply(adj, gram, out=buf)))
-    return (overlap - float(degrees @ gram @ degrees) / m) / m
+def _fuzzy_modularity(adj: np.ndarray, rows: np.ndarray) -> float | None:
+    """Fuzzy modularity of one adjacency matrix under memberships ``rows``,
+    or None when the matrix has no edges.
+
+    With P = A Pi, sum(A * Pi Pi^T) = <P, Pi>. The column sums of P are
+    Pi^T d, so d^T Pi Pi^T d = |Pi^T d|^2, and since each row of Pi sums to
+    1 their total is the edge weight m. No n x n product is formed.
+    """
+    p = adj @ rows
+    pd = p.sum(axis=0)
+    m = float(pd.sum())
+    # entries are nonnegative, so m == 0 means no edges
+    if m == 0:
+        return None
+    return (float(np.vdot(p, rows)) - float(pd @ pd) / m) / m
 
 
 def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Fuzzy modularity of the summed adjacency matrix under soft memberships."""
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    asum = net.layers.sum(axis=0, dtype=float)
-    degrees = asum.sum(axis=1)
-    # entries are nonnegative, so a zero degree sum means no edges at all
-    if degrees.sum() == 0:
+    q = _fuzzy_modularity(net.layers.sum(axis=0, dtype=float), pi_hat.rows)
+    if q is None:
         raise EmptyNetworkError("network has no edges")
-    return _fuzzy_modularity(asum, degrees, pi_hat.rows @ pi_hat.rows.T)
+    return q
 
 
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
-    """Average per-layer fuzzy modularity, skipping layers without edges."""
+    """Average per-layer fuzzy modularity, skipping layers without edges.
+
+    Binary layers are copied into one float64 n x n buffer in turn, so a
+    product never casts the whole ``uint8`` stack at once.
+    """
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    gram = pi_hat.rows @ pi_hat.rows.T
-    buf = np.empty_like(gram)
+    buf = np.empty((net.n, net.n)) if net.binary else None
     values = []
-    skipped = 0
     for layer in net.layers:
-        degrees = layer.sum(axis=1, dtype=float)
-        # entries are nonnegative, so a zero degree sum means an empty layer
-        if degrees.sum() == 0:
-            skipped += 1
-            continue
-        values.append(_fuzzy_modularity(layer, degrees, gram, buf))
+        if buf is not None:
+            np.copyto(buf, layer)
+            layer = buf
+        q = _fuzzy_modularity(layer, pi_hat.rows)
+        if q is not None:
+            values.append(q)
     if not values:
         raise EmptyNetworkError("all layers are empty")
+    skipped = net.L - len(values)
     if skipped:
         warnings.warn(
             f"skipped {skipped} empty layers when averaging modularity",

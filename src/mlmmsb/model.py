@@ -233,6 +233,10 @@ def generate_membership(n: int, K: int, n0: int, seed: int) -> MembershipMatrix:
     For K=3 the mixed rows follow the recipe (r1/2, r2/2, 1 - r1/2 - r2/2)
     with r1, r2 ~ Uniform[0,1]; for other K they are symmetric Dirichlet(1).
     """
+    if n < 1 or K < 1:
+        raise ConfigError(f"n and K must be at least 1, got n={n}, K={K}")
+    if n0 < 0:
+        raise ConfigError(f"n0 must be nonnegative, got {n0}")
     if K * n0 > n:
         raise ConfigError(f"K*n0 = {K * n0} exceeds n = {n}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))

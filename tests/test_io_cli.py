@@ -637,6 +637,21 @@ class TestCli:
         assert (tmp_path / "est" / "membership.csv").exists()
         assert (tmp_path / "est" / "nodes.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n0", "-1"], "n0 must be nonnegative, got -1"),
+            (["--k", "0"], "n and K must be at least 1, got n=200, K=0"),
+            (["--k", "-2"], "n and K must be at least 1, got n=200, K=-2"),
+            (["--n", "0", "--n0", "0"], "n and K must be at least 1, got n=0, K=3"),
+        ],
+    )
+    def test_simulate_bad_sizes_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "sim.edges"
+        assert cli_main(["simulate", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not out.exists()
+
     def test_huge_layer_id_estimates_as_layer_one(self, tmp_path, capsys):
         for name, line in (("small", "1 1 2"), ("huge", "10000000000 1 2")):
             path = tmp_path / f"{name}.edges"
