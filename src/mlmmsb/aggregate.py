@@ -6,7 +6,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg
 
 from .errors import DimensionError, UnsupportedInputError, UnusableDataError
 from .model import ExpectationStack, MultiLayerNetwork
@@ -110,18 +109,17 @@ def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
     """Sum over layers of A_l^2 - D_l, where D_l holds the layer-l degrees.
 
-    For binary symmetric layers (A_l^2)(i,i) equals the degree of node i, so
-    subtracting D_l zeroes the diagonal exactly and removes the degree-driven
-    bias of the plain sum of squares.
+    For binary symmetric layers (A_l^2)(i,i) equals the degree of node i,
+    self-loops included, so subtracting D_l zeroes the diagonal exactly and
+    removes the degree-driven bias of the plain sum of squares. The result is
+    the sum of squares with its diagonal set to zero.
     """
     if not net.binary:
         raise UnsupportedInputError(
             "debiased sum of squares requires binary layers"
         )
-    # binary layers keep every sum an exact integer, so subtracting the summed
-    # degrees once gives the same bits as subtracting them layer by layer
     out = _square_sum(net)
-    out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2), dtype=float)
+    np.fill_diagonal(out, 0.0)
     return AggregateMatrix(matrix=out)
 
 
@@ -173,6 +171,11 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     if n <= DENSE_EIG_LIMIT:
         values, vectors = np.linalg.eigh(agg.matrix)
     else:
+        # importing scipy.sparse.linalg takes longer than a dense run on a
+        # small network, so only this branch loads it; names are looked up
+        # through the module at each call, where a patched eigsh is seen
+        import scipy.sparse.linalg
+
         # a fixed start vector keeps ARPACK independent of earlier calls
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         try:

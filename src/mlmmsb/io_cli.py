@@ -532,10 +532,17 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _make_out_dir(path) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create output directory {path}: {exc}") from exc
+
+
 def _cmd_estimate(args) -> int:
+    _make_out_dir(args.out_dir)
     data = _load_network(args)
     result = estimate(build_aggregate(data.network, args.method), args.k, args.method)
-    os.makedirs(args.out_dir, exist_ok=True)
     pi_path = os.path.join(args.out_dir, "membership.csv")
     map_path = os.path.join(args.out_dir, "nodes.csv")
     write_membership_csv(result.pi_hat, pi_path, data.node_ids)
@@ -567,8 +574,9 @@ def _cmd_experiment(args) -> int:
                 updates["repetitions"] = args.reps
             cfg = replace(cfg, **updates)
         stem = os.path.splitext(os.path.basename(args.config))[0]
+    # a directory that cannot be made fails here, not after the sweep
+    _make_out_dir(args.out_dir)
     result = run_experiment(cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, f"{stem}_results.csv")
     write_results_csv(result, csv_path)
     for which in ("hamming", "relative"):

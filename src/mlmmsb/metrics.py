@@ -7,8 +7,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import (
     DimensionError,
@@ -44,6 +42,10 @@ class ErrorReport:
 
 def _optimal_assignment(cost: np.ndarray) -> np.ndarray:
     """Permutation p minimizing sum_j cost[j, p[j]] for a square cost >= 0."""
+    # imported here so that only callers of membership_errors load scipy
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     # the matcher reads zero entries as missing edges; a constant shift keeps
     # every pair an edge and moves every full matching's weight by the same K
     return min_weight_full_bipartite_matching(csr_array(cost + 1.0))[1]

@@ -1,0 +1,103 @@
+"""scipy loads only on the paths that call it.
+
+Importing scipy.sparse and its submodules takes about 0.4 s, longer than a
+dense-path command on a small network. These tests run each command in a
+fresh interpreter, because this suite imports scipy itself and so cannot see
+which modules the package loads.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import mlmmsb
+from mlmmsb import cli_main
+from mlmmsb.aggregate import DENSE_EIG_LIMIT
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(mlmmsb.__file__)))
+
+# runs the command line on its arguments, then reports the exit code and
+# every scipy module loaded
+RUN_CLI = """
+import json, sys
+from mlmmsb.io_cli import cli_main
+code = cli_main(sys.argv[1:])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"code": code, "scipy": scipy}))
+"""
+
+
+def run_fresh(script: str, *args: str) -> str:
+    """Stdout of script run on args in a new interpreter with only src on its path."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def fresh(*args: str) -> dict:
+    return json.loads(run_fresh(RUN_CLI, *args).splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small") / "sim.edges"
+    code = cli_main(
+        ["simulate", "--n", "70", "--n0", "20", "--layers", "3", "--rho", "0.5",
+         "--seed", "4", "--out", str(out)]
+    )
+    assert code == 0
+    return out
+
+
+def test_import_loads_no_scipy():
+    script = "import sys, mlmmsb; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert run_fresh(script) == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["estimate", "select-k", "simulate", "classify"])
+def test_dense_commands_load_no_scipy(command, small, tmp_path):
+    args = {
+        "estimate": ["--data", str(small), "--method", "spdsos", "--k", "3",
+                     "--out-dir", str(tmp_path)],
+        "select-k": ["--data", str(small), "--method", "spdsos", "--range", "2..4",
+                     "--criterion", "fmean"],
+        "simulate": ["--n", "70", "--n0", "20", "--layers", "3",
+                     "--out", str(tmp_path / "again.edges")],
+        "classify": ["--pi", f"{small}.membership.csv"],
+    }[command]
+    assert fresh(command, *args) == {"code": 0, "scipy": []}
+
+
+def test_lanczos_estimate_loads_sparse_linalg_and_writes(tmp_path):
+    data = tmp_path / "big.edges"
+    n = DENSE_EIG_LIMIT + 52
+    code = cli_main(
+        ["simulate", "--n", str(n), "--n0", "300", "--layers", "2", "--rho", "0.05",
+         "--seed", "1", "--out", str(data)]
+    )
+    assert code == 0
+    report = fresh("estimate", "--data", str(data), "--method", "spsum", "--k", "3",
+                   "--out-dir", str(tmp_path / "est"))
+    assert report["code"] == 0
+    assert "scipy.sparse.linalg" in report["scipy"]
+    rows = (tmp_path / "est" / "membership.csv").read_text().splitlines()
+    assert len(rows) == n + 1
+    assert len((tmp_path / "est" / "nodes.csv").read_text().splitlines()) == n + 1
+
+
+def test_experiment_loads_csgraph_and_writes(tmp_path):
+    report = fresh("experiment", "--preset", "exp1-scaled", "--reps", "1",
+                   "--out-dir", str(tmp_path))
+    assert report["code"] == 0
+    assert "scipy.sparse.csgraph" in report["scipy"]
+    assert (tmp_path / "exp1-scaled_results.csv").exists()
+    assert (tmp_path / "exp1-scaled_hamming.svg").exists()

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlmmsb
+from mlmmsb import io_cli
 from mlmmsb import (
     ConfigError,
     EmptyNetworkError,
@@ -701,6 +702,33 @@ class TestCli:
         assert code == 2
         assert "UnusableDataError" in capsys.readouterr().err
         assert not (tmp_path / "membership.csv").exists()
+
+    def test_estimate_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.edges"
+        path.write_text("1 1 2\n")
+        code = cli_main(
+            ["estimate", "--data", str(path), "--k", "1", "--out-dir", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoError: cannot create output directory {path}: ")
+        assert path.read_text() == "1 1 2\n"
+
+    def test_experiment_out_dir_is_a_file_exits_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_sweep(cfg):
+            raise AssertionError("the sweep ran before the output directory was made")
+
+        monkeypatch.setattr(io_cli, "run_experiment", no_sweep)
+        path = tmp_path / "taken"
+        path.write_text("")
+        code = cli_main(
+            ["experiment", "--preset", "exp1-scaled", "--reps", "1", "--out-dir", str(path)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: IoError: cannot create output directory {path}: ")
 
     def test_missing_dataset_exit_2(self, tmp_path, capsys):
         code = cli_main(
