@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Write every CLI output that a same-bytes change must keep, for ``diff -r``.
+
+    python3 scripts/same_bytes.py OUT_DIR [--src SRC]
+
+Runs ``python -m mlmmsb`` with SRC (default: this checkout's ``src/``) on
+PYTHONPATH and writes into OUT_DIR:
+
+- ``simulate`` output: a dense input (n=600, L=20) and a Lanczos input
+  (n=2100 > 2048, L=4);
+- ``estimate`` membership and node CSVs: all three methods on the dense
+  input, spdsos on the Lanczos input, and the self-loop, duplicate-line,
+  weighted and zero/negative-weight files, which the script derives from
+  the dense input;
+- ``select-k`` stdout for spdsos fmean, spsos fsum and weighted spsum fmean;
+- ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
+  and 20240403;
+
+plus each command's stdout, stderr and exit code in ``<name>.out``,
+``.err`` and ``.exit``. Every command runs inside OUT_DIR with relative
+paths, so the ``wrote ...`` lines name the same files on every checkout.
+The script calls only the CLI, so it runs against any revision's ``src/``:
+
+    python3 scripts/same_bytes.py /tmp/change
+    python3 scripts/same_bytes.py /tmp/parent --src ../parent/src
+    diff -r /tmp/parent /tmp/change
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+
+SEEDS = (0, 7, 20240403)
+
+
+def derived_inputs(dense_lines):
+    """Edge-list variants of the dense input, each as a list of lines."""
+    edges = [line.split()[:3] for line in dense_lines if line.strip()]
+    loops = [" ".join(e) for e in edges]
+    loops += [f"{1 + v % 20} {v} {v}" for v in range(1, 601, 7)]  # self-loops
+    loops += loops[::5]  # duplicate lines
+    weighted = [f"{' '.join(e)} {(i * 37 % 11 + 1) / 4:g}" for i, e in enumerate(edges)]
+    signed = [f"{' '.join(e)} {(-1, 0, 0.5, 2)[i % 4]:g}" for i, e in enumerate(edges)]
+    return {"loops.edges": loops, "weighted.edges": weighted, "signed.edges": signed}
+
+
+SIMULATIONS = [
+    ("simulate-dense", ["simulate", "--n", "600", "--k", "3", "--layers", "20",
+                        "--n0", "100", "--seed", "1", "--out", "dense.edges"]),
+    ("simulate-lanczos", ["simulate", "--n", "2100", "--k", "3", "--layers", "4",
+                          "--n0", "300", "--seed", "2", "--out", "lanczos.edges"]),
+]
+
+ESTIMATES = [
+    ("dense", "spdsos", []),
+    ("dense", "spsos", []),
+    ("dense", "spsum", []),
+    ("lanczos", "spdsos", []),
+    ("loops", "spsos", ["--keep-self-loops"]),
+    ("loops", "spdsos", []),
+    ("weighted", "spsum", ["--keep-weights", "--keep-self-loops"]),
+    ("weighted", "spsos", ["--keep-weights"]),
+    ("weighted", "spdsos", []),
+    ("signed", "spdsos", []),
+    ("signed", "spdsos", ["--keep-weights"]),
+]
+
+SELECTIONS = [
+    ("dense", "spdsos", "fmean", []),
+    ("dense", "spsos", "fsum", []),
+    ("weighted", "spsum", "fmean", ["--keep-weights"]),
+]
+
+
+def commands():
+    """(name, CLI arguments) of every run after the simulations."""
+    for data, method, flags in ESTIMATES:
+        name = "-".join(["estimate", data, method] + [f.strip("-") for f in flags])
+        yield name, ["estimate", "--data", f"{data}.edges", "--method", method, "--k", "3",
+                     "--out-dir", name] + flags
+    for data, method, criterion, flags in SELECTIONS:
+        yield f"select-k-{data}-{method}-{criterion}", [
+            "select-k", "--data", f"{data}.edges", "--method", method,
+            "--criterion", criterion, "--range", "2..6"] + flags
+    for seed in SEEDS:
+        yield f"experiment-{seed}", ["experiment", "--preset", "exp1-scaled", "--reps", "2",
+                                     "--seed", str(seed), "--out-dir", f"exp-{seed}"]
+
+
+def run(name, argv, env):
+    """Run the CLI in the current directory and keep what it printed."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "mlmmsb"] + argv, capture_output=True, text=True, env=env
+    )
+    for suffix, text in ((".out", proc.stdout), (".err", proc.stderr),
+                         (".exit", f"{proc.returncode}\n")):
+        with open(name + suffix, "w") as handle:
+            handle.write(text)
+    print(f"{name}: exit {proc.returncode}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("out_dir")
+    parser.add_argument(
+        "--src", default=os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    )
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src))
+    os.makedirs(args.out_dir, exist_ok=True)
+    os.chdir(args.out_dir)
+    for name, argv in SIMULATIONS:
+        run(name, argv, env)
+    with open("dense.edges") as handle:
+        variants = derived_inputs(handle.readlines())
+    for path, lines in variants.items():
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+    for name, argv in commands():
+        run(name, argv, env)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

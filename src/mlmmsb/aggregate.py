@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,44 +60,33 @@ class Embedding:
         )
 
 
-def layer_squares(net: MultiLayerNetwork | ExpectationStack) -> Iterator[np.ndarray]:
-    """Yield A_l @ A_l for each layer in turn, in one buffer reused across layers.
-
-    Read each square before asking for the next. Each layer is cast into a
-    float buffer first, since a ``uint8`` product would wrap past 255. Binary
-    layers are squared in float32: every entry of their square is an integer
-    no larger than n, and below ``FLOAT32_EXACT`` nodes float32 holds every
-    partial sum exactly, so the values are those of the float64 product. They
-    are squared as A_l @ A_l.T, which is A_l @ A_l for a symmetric layer and
-    which numpy hands to BLAS ``syrk``. Weighted layers and expectation
-    stacks are squared in float64 as A_l @ A_l.
-    """
-    n = net.n
-    binary = net.layers.dtype == np.uint8
-    dtype = np.float32 if binary and n < FLOAT32_EXACT else np.float64
-    cast = np.empty((n, n), dtype)
-    product = np.empty((n, n), dtype)
-    right = cast.T if binary else cast
-    for a in net.layers:
-        np.copyto(cast, a)
-        np.matmul(cast, right, out=product)
-        yield product
-
-
 def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
     """Sum of A_l @ A_l over layers, in float64.
 
-    Binary squares are added in float32 while L·n < ``FLOAT32_EXACT``: each
-    partial sum is then an integer no larger than L·n, held exactly. The
-    float64 copy is made once the cast and product buffers are gone.
+    Each layer is cast into a float buffer first, since a ``uint8`` product
+    would wrap past 255. Binary layers are squared in float32 as A_l @ A_l.T,
+    which is A_l @ A_l for a symmetric layer and which numpy hands to BLAS
+    ``syrk``; every entry of such a square is an integer no larger than n,
+    held exactly. Their squares are added in float32 while
+    L·n < ``FLOAT32_EXACT``: each partial sum is then an integer no larger
+    than L·n, held exactly too. Weighted layers and expectation stacks are
+    squared and added in float64 as A_l @ A_l, and a sum that overflows
+    raises UnusableDataError. The float64 copy is made once the cast and
+    product buffers are gone.
     """
-    exact = net.layers.dtype == np.uint8 and net.L * net.n < FLOAT32_EXACT
-    total = np.zeros((net.n, net.n), np.float32 if exact else np.float64)
-    for square in layer_squares(net):
-        total += square
-    # the finished generator has let go of its buffers; the loop variable
-    # still holds the last product
-    square = None
+    n = net.n
+    binary = net.layers.dtype == np.uint8
+    exact = binary and net.L * n < FLOAT32_EXACT
+    total = np.zeros((n, n), np.float32 if exact else np.float64)
+    cast = np.empty((n, n), np.float32 if binary else np.float64)
+    product = np.empty_like(cast)
+    with np.errstate(over="ignore"):
+        for a in net.layers:
+            np.copyto(cast, a)
+            total += np.matmul(cast, cast.T if binary else cast, out=product)
+    del cast, product
+    if not binary and not np.isfinite(total).all():
+        raise UnusableDataError("the sum of squared layers overflows float64")
     return total.astype(np.float64, copy=False)
 
 

@@ -139,7 +139,7 @@ def spsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     shifts the eigen-structure, so the recovered memberships carry a nonzero
     error floor even with no sampling noise.
     """
-    agg = build_sos(omega).matrix.copy()
+    agg = build_sos(omega).matrix
     for layer in omega.layers:
         agg[np.diag_indices_from(agg)] += layer.sum(axis=1)
     return estimate(AggregateMatrix(matrix=agg), K, SPSOS)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .aggregate import layer_squares
 from .errors import ConfigError, DimensionError, UnusableDataError
 from .estimators import METHODS, build_aggregates, estimate
 from .metrics import membership_errors
@@ -178,9 +177,10 @@ def compute_diagnostics(
     # one layer at a time, so the temporaries stay n x n
     dev = np.zeros((n, n))
     dev2 = np.zeros((n, n))
-    for a, o, a2 in zip(net.layers, omega.layers, layer_squares(net)):
+    for a, o in zip(net.layers, omega.layers):
+        a = a.astype(np.float64)
         dev += a - o
-        dev2 += a2 - o @ o
+        dev2 += a @ a - o @ o
     tau = float(np.abs(dev).max())
     tau_tilde = float(np.abs(dev2).max())
     log_term = math.log(n + L)

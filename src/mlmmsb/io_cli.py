@@ -463,7 +463,13 @@ def _build_parser() -> _Parser:
         description="Mixed membership community detection for multi-layer networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    methods = [m.lower() for m in METHODS]
+    # the options that name and read one network, shared by estimate and select-k
+    network = argparse.ArgumentParser(add_help=False)
+    network.add_argument("--data", required=True, help="dataset name or edge-list path")
+    network.add_argument("--data-dir", default="data")
+    network.add_argument("--method", default="spsum", choices=[m.lower() for m in METHODS])
+    network.add_argument("--keep-weights", action="store_true")
+    network.add_argument("--keep-self-loops", action="store_true")
 
     p = sub.add_parser("simulate", help="sample a network and save it")
     p.add_argument("--n", type=int, default=200)
@@ -474,14 +480,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="edge-list output path")
 
-    p = sub.add_parser("estimate", help="estimate memberships for a dataset")
-    p.add_argument("--data", required=True, help="dataset name or edge-list path")
-    p.add_argument("--data-dir", default="data")
-    p.add_argument("--method", default="spsum", choices=methods)
+    p = sub.add_parser(
+        "estimate", parents=[network], help="estimate memberships for a dataset"
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--keep-weights", action="store_true")
-    p.add_argument("--keep-self-loops", action="store_true")
 
     p = sub.add_parser("experiment", help="run a simulation sweep")
     group = p.add_mutually_exclusive_group(required=True)
@@ -492,14 +495,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out-dir", default=".")
 
-    p = sub.add_parser("select-k", help="pick K by fuzzy modularity")
-    p.add_argument("--data", required=True)
-    p.add_argument("--data-dir", default="data")
-    p.add_argument("--method", default="spsum", choices=methods)
+    p = sub.add_parser("select-k", parents=[network], help="pick K by fuzzy modularity")
     p.add_argument("--range", default="2..6", help="inclusive range, e.g. 2..6")
     p.add_argument("--criterion", default="fsum", choices=["fsum", "fmean"])
-    p.add_argument("--keep-weights", action="store_true")
-    p.add_argument("--keep-self-loops", action="store_true")
 
     p = sub.add_parser("classify", help="purity report from a membership CSV")
     p.add_argument("--pi", required=True, help="membership CSV path")
@@ -509,15 +507,12 @@ def _build_parser() -> _Parser:
 
 def _load_network(args) -> MultiplexData:
     path = _resolve_dataset(args.data, args.data_dir)
-    keep_weights = getattr(args, "keep_weights", False)
-    if keep_weights and getattr(args, "method", "") == "spdsos":
+    if args.keep_weights and args.method == "spdsos":
         raise UnsupportedInputError(
             "spdsos requires binary layers; drop --keep-weights"
         )
     return read_multiplex_edges(
-        path,
-        binarize=not keep_weights,
-        drop_self_loops=not getattr(args, "keep_self_loops", False),
+        path, binarize=not args.keep_weights, drop_self_loops=not args.keep_self_loops
     )
 
 
@@ -562,18 +557,13 @@ def _cmd_experiment(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
     if args.preset:
-        cfg = experiments.preset(args.preset, base_seed=args.seed, repetitions=args.reps)
+        cfg = experiments.preset(args.preset)
         stem = args.preset
     else:
         cfg = _parse_config_file(args.config)
-        if args.seed is not None or args.reps is not None:
-            updates = {}
-            if args.seed is not None:
-                updates["base_seed"] = args.seed
-            if args.reps is not None:
-                updates["repetitions"] = args.reps
-            cfg = replace(cfg, **updates)
         stem = os.path.splitext(os.path.basename(args.config))[0]
+    overrides = {"base_seed": args.seed, "repetitions": args.reps}
+    cfg = replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     # a directory that cannot be made fails here, not after the sweep
     _make_out_dir(args.out_dir)
     result = run_experiment(cfg)

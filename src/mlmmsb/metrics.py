@@ -3,6 +3,7 @@ node-purity indices, and modularity-based community-count selection."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -13,6 +14,7 @@ from .errors import (
     EmptyLayerWarning,
     EmptyNetworkError,
     ModelSelectionError,
+    UnusableDataError,
 )
 from .aggregate import embedding_source
 from .estimators import build_aggregate, estimate_from_embedding
@@ -81,14 +83,24 @@ def _fuzzy_modularity(adj: np.ndarray, rows: np.ndarray) -> float | None:
     With P = A Pi, sum(A * Pi Pi^T) = <P, Pi>. The column sums of P are
     Pi^T d, so d^T Pi Pi^T d = |Pi^T d|^2, and since each row of Pi sums to
     1 their total is the edge weight m. No n x n product is formed.
+
+    <P, Pi>, Pi^T d and m are scaled by the power of two that takes m into
+    [0.5, 1), so |Pi^T d|^2 / m neither underflows nor overflows at any
+    weight scale; the scaling is exact, so normal-range scores keep their bits.
     """
-    p = adj @ rows
-    pd = p.sum(axis=0)
-    m = float(pd.sum())
+    with np.errstate(over="ignore"):
+        p = adj @ rows
+        pd = p.sum(axis=0)
+        m = float(pd.sum())
     # entries are nonnegative, so m == 0 means no edges
     if m == 0:
         return None
-    return (float(np.vdot(p, rows)) - float(pd @ pd) / m) / m
+    if not math.isfinite(m):
+        raise UnusableDataError("the total edge weight overflows float64")
+    e = math.frexp(m)[1]
+    pd = np.ldexp(pd, -e)
+    m = math.ldexp(m, -e)
+    return (math.ldexp(float(np.vdot(p, rows)), -e) - float(pd @ pd) / m) / m
 
 
 def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:

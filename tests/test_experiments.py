@@ -169,11 +169,16 @@ class TestDiagnostics:
         pi = generate_membership(200, 3, 40, seed=9)
         conn = generate_connectivity(3, 10, seed=10, rho=0.3)
         omega = expected_adjacency(pi, conn)
-        net = sample_mlmmsb(pi, conn, seed=11)
-        dev2 = np.zeros((200, 200))
-        for a, o in zip(net.layers.astype(np.float64), omega.layers):
-            dev2 += a @ a - o @ o
-        assert compute_diagnostics(net, omega).tau_tilde == float(np.abs(dev2).max())
+        binary = sample_mlmmsb(pi, conn, seed=11)
+        weights = np.random.default_rng(12).choice([0.1, 1 / 3, 2.5], binary.layers.shape)
+        upper = np.triu(binary.layers * weights)
+        weighted = MultiLayerNetwork(layers=upper + np.triu(upper, k=1).transpose(0, 2, 1))
+        assert binary.binary and not weighted.binary
+        for net in (binary, weighted):
+            dev2 = np.zeros((200, 200))
+            for a, o in zip(net.layers.astype(np.float64), omega.layers):
+                dev2 += a @ a - o @ o
+            assert compute_diagnostics(net, omega).tau_tilde == float(np.abs(dev2).max())
 
     def test_memory_stays_per_layer(self):
         pi = generate_membership(200, 3, 40, seed=6)

@@ -840,3 +840,42 @@ class TestCli:
         )
         assert code == 2
         assert "binary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weight", ["1e-300", "1e300"])
+    def test_select_k_weighted_modularity_is_scale_invariant(self, tmp_path, capsys, weight):
+        # weight 1 scores K=1 at 0 and the two-edge split at 0.5
+        path = tmp_path / "w.edges"
+        path.write_text(f"1 1 2 {weight}\n1 3 4 {weight}\n")
+        code = cli_main(
+            ["select-k", "--data", str(path), "--method", "spsum", "--criterion", "fsum",
+             "--keep-weights", "--range", "1..2"]
+        )
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "K=1: 0.0000\nK=2: 0.5000\n(2, 0.5000)\n"
+        assert captured.err == ""
+
+    def test_spsos_weighted_square_overflow_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "w.edges"
+        cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]
+        path.write_text("".join(f"1 {u} {v} 1e200\n" for u, v in cycle))
+        code = cli_main(
+            ["estimate", "--data", str(path), "--method", "spsos", "--k", "2",
+             "--keep-weights", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: UnusableDataError: ")
+        assert not (tmp_path / "membership.csv").exists()
+
+    def test_experiment_seed_and_reps_override_config_file(self, tmp_path):
+        body = "sweep=rho\nsweep_values=0.3,0.6\nn=40\nL=4\nn0=8\nmethods=SPSUM\n"
+        (tmp_path / "given.cfg").write_text(body + "repetitions=2\nbase_seed=9\n")
+        (tmp_path / "over.cfg").write_text(body + "repetitions=1\nbase_seed=5\n")
+        for stem, flags in (("given", []), ("over", ["--seed", "9", "--reps", "2"])):
+            code = cli_main(
+                ["experiment", "--config", str(tmp_path / f"{stem}.cfg"),
+                 "--out-dir", str(tmp_path)] + flags
+            )
+            assert code == 0
+        results = [(tmp_path / f"{s}_results.csv").read_bytes() for s in ("given", "over")]
+        assert results[0] == results[1]

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mlmmsb import (
@@ -17,6 +17,7 @@ from mlmmsb import (
     MultiLayerNetwork,
     RankDeficiencyError,
     UnsupportedInputError,
+    UnusableDataError,
     classify_nodes,
     estimate_k,
     generate_connectivity,
@@ -259,6 +260,34 @@ class TestModularity:
             warnings.simplefilter("ignore", EmptyLayerWarning)
             got_mean = q_fmean(net, pi_hat)
         assert got_mean == pytest.approx(want_mean, rel=0, abs=MODULARITY_ABS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 20), K=st.integers(1, 4), L=st.integers(1, 3))
+    def test_invariant_under_power_of_two_weight_scaling(self, data, n, K, L):
+        # weights and memberships on a coarse dyadic grid keep every
+        # intermediate in the normal range at 2^+-1000, so no rounding differs
+        k = data.draw(st.integers(-1000, 1000), label="k")
+        weights = data.draw(
+            st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]), min_size=L * n * n, max_size=L * n * n)
+        )
+        upper = np.triu(np.reshape(weights, (L, n, n)))
+        stack = upper + np.triu(upper, k=1).transpose(0, 2, 1)
+        assume(all(a.any() for a in stack))
+        rows = []
+        for _ in range(n):
+            cuts = sorted(data.draw(st.lists(st.integers(0, 8), min_size=K - 1, max_size=K - 1)))
+            rows.append(np.diff([0, *cuts, 8]) / 8)
+        pi_hat = MembershipMatrix(rows=np.array(rows))
+        net = MultiLayerNetwork(layers=stack)
+        scaled = MultiLayerNetwork(layers=np.ldexp(stack, k))
+        assert q_fsum(scaled, pi_hat) == q_fsum(net, pi_hat)
+        assert q_fmean(scaled, pi_hat) == q_fmean(net, pi_hat)
+
+    @pytest.mark.parametrize("score", [q_fsum, q_fmean])
+    def test_overflowing_edge_weight_total_raises(self, score):
+        net = MultiLayerNetwork(layers=1e308 * two_triangles().layers.astype(float))
+        with pytest.raises(UnusableDataError):
+            score(net, pure([0, 0, 0, 1, 1, 1], 2))
 
     @pytest.mark.parametrize("score", [q_fsum, q_fmean])
     def test_peak_memory_below_9_n2(self, score):
