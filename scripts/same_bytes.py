@@ -12,7 +12,8 @@ PYTHONPATH and writes into OUT_DIR:
   input, spdsos on the Lanczos input, and the self-loop, duplicate-line,
   weighted and zero/negative-weight files, which the script derives from
   the dense input;
-- ``select-k`` stdout for spdsos fmean, spsos fsum and weighted spsum fmean;
+- ``select-k`` stdout for spdsos fmean, spsos fsum and weighted spsum fmean
+  on the dense input, and spdsos fmean and spsum fsum on the Lanczos input;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
 
@@ -70,6 +71,8 @@ SELECTIONS = [
     ("dense", "spdsos", "fmean", []),
     ("dense", "spsos", "fsum", []),
     ("weighted", "spsum", "fmean", ["--keep-weights"]),
+    ("lanczos", "spdsos", "fmean", []),
+    ("lanczos", "spsum", "fsum", []),
 ]
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +44,10 @@ class Embedding:
     def leading(self, K: int) -> Embedding:
         """The embedding of the first K pairs, with the tie note at K.
 
-        On the dense path this is bit for bit ``top_k_eigen(agg, K)`` of the
-        aggregate that gave this embedding: one decomposition orders every
-        pair, and the sign of each column depends on that column alone.
+        On the dense path only, this is bit for bit ``top_k_eigen(agg, K)`` of
+        the aggregate that gave this embedding: one decomposition orders every
+        pair, and the sign of each column depends on that column alone. A
+        Lanczos run for more pairs converges to slightly other floats.
         """
         if not (1 <= K <= self.K):
             raise DimensionError(f"K={K} out of range for an embedding of {self.K} pairs")
@@ -91,8 +91,13 @@ def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
 
 
 def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
-    """Entrywise sum of all layers."""
-    return AggregateMatrix(matrix=net.layers.sum(axis=0, dtype=float))
+    """Entrywise sum of all layers; a weighted sum that overflows raises
+    UnusableDataError."""
+    with np.errstate(over="ignore"):
+        total = net.layers.sum(axis=0, dtype=float)
+    if net.layers.dtype != np.uint8 and not np.isfinite(total).all():
+        raise UnusableDataError("the sum of layers overflows float64")
+    return AggregateMatrix(matrix=total)
 
 
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
@@ -181,26 +186,3 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
         eigenvalues=np.asarray(values[order[:K]], dtype=float),
         warnings=_tie_notes(values[order[: K + 1]], K),
     )
-
-
-def embedding_source(agg: AggregateMatrix, k_max: int) -> Callable[[int], Embedding]:
-    """A function giving ``top_k_eigen(agg, K)`` for each K in 1..k_max.
-
-    On the dense path it slices one ``top_k_eigen(agg, k_max)``, which keeps
-    k_max columns; if that decomposition raises, the function raises the
-    same error at every K. On the Lanczos path it calls ``top_k_eigen`` at
-    each K, because ARPACK run for k_max+1 pairs converges to other floats
-    than a run for K+1.
-    """
-    if agg.n > DENSE_EIG_LIMIT:
-        return lambda K: top_k_eigen(agg, K)
-    try:
-        shared = top_k_eigen(agg, k_max)
-    except Exception as exc:  # noqa: BLE001 - each K raises what its own call would
-        error = exc
-
-        def fail(K: int) -> Embedding:
-            raise error
-
-        return fail
-    return shared.leading

@@ -13,12 +13,13 @@ file + rename).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .errors import (
     MlmmsbError,
     ParseError,
     UnsupportedInputError,
+    UnusableDataError,
 )
 from .estimators import METHODS, build_aggregate, estimate
 from .experiments import ExperimentConfig, ExperimentResult, run_experiment
@@ -62,13 +64,23 @@ class MultiplexData:
 
 
 def _atomic_write(path, text: str) -> None:
+    """Write ``text`` to a temp file beside ``path`` and rename it over
+    ``path``. mkstemp makes the file 0600; it gets the mode ``open`` would
+    give under the umask. A failed write or rename removes the temp file."""
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="\n") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except OSError as exc:
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
@@ -207,9 +219,12 @@ def read_multiplex_edges(
         keep = np.column_stack([off_diagonal | (not drop_self_loops), off_diagonal])
         # every cell sums its weights in file order
         layers = np.zeros(shape)
-        np.add.at(layers.reshape(-1), cells[keep], np.repeat(weight, keep.sum(axis=1)))
-        if binarize:
+        with np.errstate(over="ignore"):
+            np.add.at(layers.reshape(-1), cells[keep], np.repeat(weight, keep.sum(axis=1)))
+        if binarize:  # a sum past float64 keeps its sign: +inf is an edge
             layers = (layers > 0).astype(np.uint8)
+        elif not np.isfinite(layers).all():
+            raise UnusableDataError("an edge's summed weight overflows float64")
     return MultiplexData(
         network=MultiLayerNetwork(layers=layers), node_ids=tuple(node_ids.tolist())
     )
@@ -439,6 +454,13 @@ def _parse_config_file(path: str) -> ExperimentConfig:
                 values[key.strip()] = value.strip()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    accepted = [f.name for f in fields(ExperimentConfig)]
+    unknown = [key for key in values if key not in accepted]
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(accepted)}"
+        )
     try:
         kwargs = {"sweep": values["sweep"]}
         kwargs["sweep_values"] = tuple(

@@ -16,7 +16,7 @@ from .errors import (
     ModelSelectionError,
     UnusableDataError,
 )
-from .aggregate import embedding_source
+from .aggregate import build_asum, top_k_eigen
 from .estimators import build_aggregate, estimate_from_embedding
 from .model import MembershipMatrix, MultiLayerNetwork
 
@@ -107,7 +107,7 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Fuzzy modularity of the summed adjacency matrix under soft memberships."""
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    q = _fuzzy_modularity(net.layers.sum(axis=0, dtype=float), pi_hat.rows)
+    q = _fuzzy_modularity(build_asum(net).matrix, pi_hat.rows)
     if q is None:
         raise EmptyNetworkError("network has no edges")
     return q
@@ -192,11 +192,12 @@ def estimate_k(
 ) -> SelectionResult:
     """Pick the community count maximizing a fuzzy modularity criterion.
 
-    Builds the method's aggregate once, takes each candidate's embedding
-    from ``embedding_source`` (one decomposition on the dense path), runs
-    the rest of the estimator at each K and scores the resulting
-    memberships; ties go to the smaller K. An aggregate that cannot be built
-    raises; candidates where the estimator fails are skipped and recorded.
+    Builds the method's aggregate, decomposes it once for the largest
+    candidate and estimates each K from the leading K pairs (bit for bit
+    ``top_k_eigen(agg, K)`` on the dense path only), then scores the
+    memberships; ties go to the smaller K. A failed build raises, a failed
+    decomposition fails every K, and a K where the estimator fails is
+    skipped and recorded.
     """
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:
@@ -207,12 +208,17 @@ def estimate_k(
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
     score_fn = q_fsum if crit == FSUM else q_fmean
-    embedding_at = embedding_source(build_aggregate(net, method), k_values[-1])
+    agg = build_aggregate(net, method)
+    try:
+        shared = top_k_eigen(agg, k_values[-1])
+    except Exception as exc:  # noqa: BLE001 - every candidate fails with it
+        failed = dict.fromkeys(k_values, f"{type(exc).__name__}: {exc}")
+        raise ModelSelectionError(f"all candidate K failed: {failed}") from exc
     scores: dict[int, float] = {}
     failures: dict[int, str] = {}
     for k in k_values:
         try:
-            result = estimate_from_embedding(embedding_at(k), method)
+            result = estimate_from_embedding(shared.leading(k), method)
             scores[k] = score_fn(net, result.pi_hat)
         except Exception as exc:  # noqa: BLE001 - record and move on
             failures[k] = f"{type(exc).__name__}: {exc}"

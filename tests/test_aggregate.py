@@ -28,8 +28,8 @@ from mlmmsb.aggregate import (
     DENSE_EIG_LIMIT,
     AggregateMatrix,
     _order_by_magnitude,
-    embedding_source,
 )
+from mlmmsb.model import ExpectationStack
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -44,6 +44,19 @@ class TestBuilders:
 
     def test_asum_linearity(self):
         assert np.array_equal(build_asum(net_of(PATH_3, PATH_3)).matrix, 2 * PATH_3)
+
+    @pytest.mark.parametrize(
+        "stack",
+        [
+            lambda: net_of(1e308 * PATH_3, 1e308 * PATH_3),
+            # an ExpectationStack has no ``binary``: the check reads the dtype
+            lambda: ExpectationStack(layers=np.full((2, 3, 3), 1e308), rho=1.0),
+        ],
+        ids=["weighted", "expectation"],
+    )
+    def test_asum_overflow_raises(self, stack):
+        with pytest.raises(UnusableDataError, match="sum of layers overflows"):
+            build_asum(stack())
 
     def test_asum_hand_addition(self):
         edge_13 = np.zeros((3, 3))
@@ -342,19 +355,19 @@ class TestSharedDecomposition:
     @pytest.mark.parametrize("n", [61, 600])
     def test_each_k_equals_its_own_decomposition(self, n):
         agg = sampled_dsos(n)
-        embedding_at = embedding_source(agg, 6)
+        shared = top_k_eigen(agg, 6)
         for K in range(1, 7):
-            assert_same_embedding(embedding_at(K), top_k_eigen(agg, K))
+            assert_same_embedding(shared.leading(K), top_k_eigen(agg, K))
 
     @pytest.mark.parametrize("k_max", [1, 2, 3, 4])
     def test_tie_notes_match(self, k_max):
         # |3| = |-3| ties across K = 1 and |1| = |-1| across K = 3
         agg = AggregateMatrix(np.diag([3.0, -3.0, 1.0, -1.0, 0.5]))
-        embedding_at = embedding_source(agg, k_max)
+        shared = top_k_eigen(agg, k_max)
         for K in range(1, k_max + 1):
             want = top_k_eigen(agg, K)
             assert bool(want.warnings) == (K in (1, 3))
-            assert_same_embedding(embedding_at(K), want)
+            assert_same_embedding(shared.leading(K), want)
 
     def test_one_dense_eigh(self, monkeypatch):
         eigh = np.linalg.eigh
@@ -365,20 +378,10 @@ class TestSharedDecomposition:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        embedding_at = embedding_source(sampled_dsos(61), 5)
+        shared = top_k_eigen(sampled_dsos(61), 5)
         for K in range(1, 6):
-            embedding_at(K)
+            shared.leading(K)
         assert calls == [(61, 61)]
-
-    def test_shared_error_raised_at_every_k(self, monkeypatch):
-        def failing(matrix):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", failing)
-        embedding_at = embedding_source(sampled_dsos(61), 4)
-        for K in range(1, 5):
-            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-                embedding_at(K)
 
     def test_leading_out_of_range(self):
         emb = top_k_eigen(AggregateMatrix(np.diag([3.0, 2.0, 1.0])), 2)

@@ -19,6 +19,7 @@ from mlmmsb import (
     ConfigError,
     EmptyNetworkError,
     ParseError,
+    UnusableDataError,
     cli_main,
     read_multiplex_edges,
     render_line_chart,
@@ -204,6 +205,20 @@ class TestEdgeListFormatRules:
         path.write_text("1 1 2 1e16\n1 2 1 1\n1 1 2 -1e16\n")
         layer = read_multiplex_edges(path, binarize=False).network.layers[0]
         assert layer[0, 1] == layer[1, 0] == 0.0
+
+    def test_overflowing_weighted_sum_raises(self, tmp_path):
+        path = tmp_path / "net.edges"
+        path.write_text("1 1 2 1e308\n1 1 2 1e308\n1 3 4 1\n")
+        with pytest.raises(UnusableDataError, match="summed weight overflows"):
+            read_multiplex_edges(path, binarize=False)
+
+    def test_overflowing_sum_is_an_edge_when_binarized(self, tmp_path):
+        path = tmp_path / "net.edges"
+        # the -1 sends this file past the all-positive fast path
+        path.write_text("1 1 2 1e308\n1 1 2 1e308\n1 3 4 -1\n1 3 4 2\n")
+        layer = read_multiplex_edges(path).network.layers[0]
+        assert layer[0, 1] == layer[1, 0] == 1
+        assert layer[2, 3] == layer[3, 2] == 1
 
     def test_underscored_ids_parse(self, tmp_path):
         path = tmp_path / "net.edges"
@@ -573,6 +588,27 @@ class TestResultsCsv:
         assert b"\r" not in a.read_bytes()
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = tmp_path / "out.txt"
+        old = os.umask(umask)
+        try:
+            io_cli._atomic_write(path, "x\n")
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == mode
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def failing(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(IoError, match="rename refused"):
+            io_cli._atomic_write(tmp_path / "out.txt", "x\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMembershipCsv:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -761,6 +797,18 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "out" / "sweep_results.csv").exists()
 
+    def test_experiment_config_unknown_key_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("sweep=rho\nsweep_values=0.3\nn=40\nL=4\nn0=8\nreps=1\n")
+        code = cli_main(
+            ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ConfigError: unknown config key 'reps'")
+        assert "repetitions" in err
+        assert not (tmp_path / "out").exists()
+
     def test_experiment_config_methods_with_spaces(self, tmp_path, capsys):
         cfg = tmp_path / "spaced.cfg"
         cfg.write_text(
@@ -866,6 +914,18 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: UnusableDataError: ")
         assert not (tmp_path / "membership.csv").exists()
+
+    def test_select_k_overflowing_layer_sum_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "w.edges"
+        path.write_text("1 1 2 1e308\n2 1 2 1e308\n1 3 4 1\n2 3 4 1\n")
+        code = cli_main(
+            ["select-k", "--data", str(path), "--method", "spsum", "--criterion", "fsum",
+             "--keep-weights", "--range", "1..2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: UnusableDataError: the sum of layers overflows float64\n"
+        )
 
     def test_experiment_seed_and_reps_override_config_file(self, tmp_path):
         body = "sweep=rho\nsweep_values=0.3,0.6\nn=40\nL=4\nn0=8\nmethods=SPSUM\n"

@@ -27,6 +27,7 @@ from mlmmsb import (
     q_fsum,
     sample_mlmmsb,
     spdsos,
+    top_k_eigen,
 )
 from mlmmsb import estimators
 from mlmmsb.aggregate import DENSE_EIG_LIMIT
@@ -289,6 +290,12 @@ class TestModularity:
         with pytest.raises(UnusableDataError):
             score(net, pure([0, 0, 0, 1, 1, 1], 2))
 
+    def test_overflowing_layer_sum_raises(self):
+        layer = 1e308 * two_triangles().layers[0].astype(float)
+        net = MultiLayerNetwork(layers=np.stack([layer, layer]))
+        with pytest.raises(UnusableDataError, match="sum of layers overflows"):
+            q_fsum(net, pure([0, 0, 0, 1, 1, 1], 2))
+
     @pytest.mark.parametrize("score", [q_fsum, q_fmean])
     def test_peak_memory_below_9_n2(self, score):
         # one float64 n x n buffer (the layer sum, or one binary layer cast)
@@ -438,11 +445,16 @@ class TestEstimateK:
         for k in (2, 3, 5):
             assert f"{k}: 'LinAlgError: Eigenvalues did not converge'" in str(info.value)
 
-    def test_lanczos_path_one_call_per_k(self, monkeypatch):
+    def test_lanczos_path_one_decomposition(self, monkeypatch):
         n = DENSE_EIG_LIMIT + 52
         net = self.planted_two_block(n=n, L=2, rho=0.05, seed=1)
         agg = estimators.build_aggregate(net, "spsum")
-        expected = {k: q_fmean(net, estimators.estimate(agg, k, "spsum").pi_hat) for k in (2, 3, 4)}
+        shared = top_k_eigen(agg, 4)
+        exact = {
+            k: q_fmean(net, estimators.estimate_from_embedding(shared.leading(k), "spsum").pi_hat)
+            for k in (2, 3, 4)
+        }
+        per_k = {k: q_fmean(net, estimators.estimate(agg, k, "spsum").pi_hat) for k in (2, 3, 4)}
         eigsh = scipy.sparse.linalg.eigsh
         calls = []
 
@@ -452,8 +464,21 @@ class TestEstimateK:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
         selection = estimate_k(net, "spsum", (2, 3, 4), "fmean")
-        assert calls == [3, 4, 5]
-        assert selection.scores == expected
+        assert calls == [5]
+        assert selection.scores == exact
+        assert selection.scores == pytest.approx(per_k, abs=1e-9)
+        assert selection.best_k == max(per_k, key=lambda k: (per_k[k], -k))
+
+    def test_lanczos_decomposition_error_recorded_at_every_k(self, monkeypatch):
+        def failing(matrix, k, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        net = self.planted_two_block(n=DENSE_EIG_LIMIT + 52, L=2, rho=0.05, seed=1)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        with pytest.raises(ModelSelectionError) as info:
+            estimate_k(net, "spsum", [2, 3, 5])
+        for k in (2, 3, 5):
+            assert f"{k}: 'UnusableDataError: Lanczos did not converge" in str(info.value)
 
     def test_weighted_spdsos_raises(self):
         net = MultiLayerNetwork(layers=0.5 * np.ones((1, 4, 4)))
