@@ -16,6 +16,9 @@ PYTHONPATH and writes into OUT_DIR:
   on the dense input, and spdsos fmean and spsum fsum on the Lanczos input;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
+- ``experiment --config`` CSVs and SVGs for a small n sweep that the script
+  writes as ``sweep-n.cfg``;
+- ``classify`` stdout for the dense spdsos estimate's membership CSV;
 
 plus each command's stdout, stderr and exit code in ``<name>.out``,
 ``.err`` and ``.exit``. Every command runs inside OUT_DIR with relative
@@ -45,6 +48,9 @@ def derived_inputs(dense_lines):
     signed = [f"{' '.join(e)} {(-1, 0, 0.5, 2)[i % 4]:g}" for i, e in enumerate(edges)]
     return {"loops.edges": loops, "weighted.edges": weighted, "signed.edges": signed}
 
+
+CONFIG = ["sweep=n", "sweep_values=60,90", "n0=10", "L=4", "repetitions=2",
+          "methods=spdsos, spsum"]
 
 SIMULATIONS = [
     ("simulate-dense", ["simulate", "--n", "600", "--k", "3", "--layers", "20",
@@ -89,6 +95,10 @@ def commands():
     for seed in SEEDS:
         yield f"experiment-{seed}", ["experiment", "--preset", "exp1-scaled", "--reps", "2",
                                      "--seed", str(seed), "--out-dir", f"exp-{seed}"]
+    yield "experiment-config", ["experiment", "--config", "sweep-n.cfg",
+                                "--out-dir", "exp-config"]
+    yield "classify-dense-spdsos", ["classify", "--pi",
+                                    os.path.join("estimate-dense-spdsos", "membership.csv")]
 
 
 def run(name, argv, env):
@@ -118,8 +128,9 @@ def main() -> int:
     for name, argv in SIMULATIONS:
         run(name, argv, env)
     with open("dense.edges") as handle:
-        variants = derived_inputs(handle.readlines())
-    for path, lines in variants.items():
+        inputs = derived_inputs(handle.readlines())
+    inputs["sweep-n.cfg"] = CONFIG
+    for path, lines in inputs.items():
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
     for name, argv in commands():

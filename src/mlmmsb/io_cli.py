@@ -431,11 +431,20 @@ def _resolve_dataset(spec: str, data_dir: str) -> str:
 
 
 def _parse_range(text: str) -> range:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    k = int(text)
-    return range(k, k + 1)
+    lo, dots, hi = text.partition("..")
+    try:
+        return range(int(lo), int(hi if dots else lo) + 1)
+    except ValueError as exc:
+        raise ConfigError(f"--range must be K or LO..HI in integers, got {text!r}") from exc
+
+
+def _config_number(key: str, text: str, kind: type):
+    try:
+        return kind(text)
+    except ValueError as exc:
+        raise ConfigError(
+            f"config key {key!r}: {text!r} is not a valid {kind.__name__}"
+        ) from exc
 
 
 def _parse_config_file(path: str) -> ExperimentConfig:
@@ -464,14 +473,16 @@ def _parse_config_file(path: str) -> ExperimentConfig:
     try:
         kwargs = {"sweep": values["sweep"]}
         kwargs["sweep_values"] = tuple(
-            float(v) if "." in v or "e" in v.lower() else int(v)
+            _config_number(
+                "sweep_values", v, float if "." in v or "e" in v.lower() else int
+            )
             for v in values["sweep_values"].split(",")
         )
         for key in ("n", "L", "n0", "K", "repetitions", "base_seed"):
             if key in values:
-                kwargs[key] = int(values[key])
+                kwargs[key] = _config_number(key, values[key], int)
         if "rho" in values:
-            kwargs["rho"] = float(values["rho"])
+            kwargs["rho"] = _config_number("rho", values["rho"], float)
         if "methods" in values:
             kwargs["methods"] = tuple(m.strip() for m in values["methods"].split(","))
         return ExperimentConfig(**kwargs)
@@ -533,9 +544,14 @@ def _load_network(args) -> MultiplexData:
         raise UnsupportedInputError(
             "spdsos requires binary layers; drop --keep-weights"
         )
-    return read_multiplex_edges(
+    data = read_multiplex_edges(
         path, binarize=not args.keep_weights, drop_self_loops=not args.keep_self_loops
     )
+    # a file with lines can still hold no edge: self-loops are dropped, and
+    # binarizing drops cells whose weights sum to <= 0
+    if not data.network.layers.any():
+        raise EmptyNetworkError(f"{path} has no edges")
+    return data
 
 
 def _cmd_simulate(args) -> int:
@@ -609,10 +625,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_select_k(args) -> int:
+    k_values = _parse_range(args.range)
     data = _load_network(args)
-    selection = estimate_k(
-        data.network, args.method, _parse_range(args.range), args.criterion
-    )
+    selection = estimate_k(data.network, args.method, k_values, args.criterion)
     for k in sorted(selection.scores):
         print(f"K={k}: {selection.scores[k]:.4f}")
     for k, reason in sorted(selection.failures.items()):

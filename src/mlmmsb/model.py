@@ -19,14 +19,9 @@ ROW_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MembershipMatrix:
-    """Row-stochastic n x K matrix of community weights.
-
-    ``pure_index_hint``, when given, lists one known pure node per community
-    (row k of the hint must be the k-th standard basis vector).
-    """
+    """Row-stochastic n x K matrix of community weights."""
 
     rows: np.ndarray
-    pure_index_hint: tuple[int, ...] | None = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=float)
@@ -39,16 +34,6 @@ class MembershipMatrix:
             raise ConfigError("membership entries must lie in [0, 1]")
         if np.max(np.abs(rows.sum(axis=1) - 1.0)) > ROW_SUM_TOL:
             raise ConfigError("membership rows must sum to 1 within 1e-12")
-        if self.pure_index_hint is not None:
-            hint = tuple(int(i) for i in self.pure_index_hint)
-            object.__setattr__(self, "pure_index_hint", hint)
-            if len(hint) != self.K:
-                raise ConfigError("pure_index_hint must list one node per community")
-            for k, i in enumerate(hint):
-                if not (0 <= i < self.n):
-                    raise ConfigError(f"pure node index {i} out of range")
-                if abs(rows[i, k] - 1.0) > ROW_SUM_TOL:
-                    raise ConfigError(f"hinted node {i} is not pure in community {k}")
 
     @property
     def n(self) -> int:
@@ -57,12 +42,6 @@ class MembershipMatrix:
     @property
     def K(self) -> int:
         return self.rows.shape[1]
-
-    def check_full_rank(self, tol: float = 1e-10) -> None:
-        """Ground-truth matrices must have rank K (smallest singular value > tol)."""
-        s = np.linalg.svd(self.rows, compute_uv=False)
-        if s[-1] <= tol:
-            raise ConfigError("membership matrix is rank deficient")
 
 
 @dataclass(frozen=True)
@@ -253,11 +232,7 @@ def generate_membership(n: int, K: int, n0: int, seed: int) -> MembershipMatrix:
             rows[K * n0 :, 2] = 1.0 - r1 / 2 - r2 / 2
         else:
             rows[K * n0 :] = rng.dirichlet(np.ones(K), size=n_mixed)
-    hint = tuple(k * n0 for k in range(K)) if n0 >= 1 else None
-    pi = MembershipMatrix(rows=rows, pure_index_hint=hint)
-    if n0 >= 1:
-        pi.check_full_rank()
-    return pi
+    return MembershipMatrix(rows=rows)
 
 
 def generate_connectivity(K: int, L: int, seed: int, rho: float = 1.0) -> ConnectivityStack:

@@ -653,6 +653,18 @@ class TestLineChart:
             render_line_chart([], tmp_path / "chart.svg")
 
 
+def write_two_blocks(path):
+    """Two layers of two 10-node cliques joined by one edge."""
+    edges = [
+        f"{layer} {i} {j}"
+        for layer in (1, 2)
+        for block in (0, 10)
+        for i in range(1 + block, 11 + block)
+        for j in range(i + 1, 11 + block)
+    ]
+    path.write_text("\n".join(edges + ["1 1 11"]) + "\n")
+
+
 class TestCli:
     def test_unknown_subcommand_exit_1(self, capsys):
         assert cli_main(["frobnicate"]) == 1
@@ -824,18 +836,8 @@ class TestCli:
 
     def test_select_k_on_planted_network(self, tmp_path, capsys):
         # two strong blocks: modularity peaks at K=2
-        edges = []
-        n_half = 10
-        for layer in (1, 2):
-            for block in (0, 1):
-                nodes = range(1 + block * n_half, 1 + (block + 1) * n_half)
-                for i in nodes:
-                    for j in nodes:
-                        if i < j:
-                            edges.append(f"{layer} {i} {j}")
-        edges.append("1 1 11")  # single cross edge
         path = tmp_path / "planted.edges"
-        path.write_text("\n".join(edges) + "\n")
+        write_two_blocks(path)
         code = cli_main(
             ["select-k", "--data", str(path), "--method", "spsum",
              "--range", "2..4", "--criterion", "fsum"]
@@ -939,3 +941,150 @@ class TestCli:
             assert code == 0
         results = [(tmp_path / f"{s}_results.csv").read_bytes() for s in ("given", "over")]
         assert results[0] == results[1]
+
+
+class TestCliInputErrors:
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1 2 0\n1 2 3 -1\n1 3 4 0\n", "1 1 1\n1 2 2\n2 3 3\n"],
+        ids=["non-positive-sums", "self-loops-only"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["estimate", "--k", "2"], ["select-k", "--range", "1..2"]],
+        ids=["estimate", "select-k"],
+    )
+    def test_network_without_edges_exit_2(self, tmp_path, capsys, text, command):
+        path = tmp_path / "empty.edges"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        flags = ["--out-dir", str(out_dir)] if command[0] == "estimate" else []
+        code = cli_main(command + ["--data", str(path)] + flags)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: EmptyNetworkError: {path} has no edges\n"
+        assert not (out_dir / "membership.csv").exists()
+
+    @pytest.mark.parametrize("text", ["2..x", "x", "2..", "..3", "2.5"])
+    def test_select_k_malformed_range_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "blocks.edges"
+        write_two_blocks(path)
+        code = cli_main(["select-k", "--data", str(path), "--range", text])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: --range must be K or LO..HI in integers, got {text!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("repetitions=2.5", "config key 'repetitions': '2.5' is not a valid int"),
+            ("sweep_values=0.1,abc", "config key 'sweep_values': 'abc' is not a valid int"),
+            ("sweep_values=0.1,1e", "config key 'sweep_values': '1e' is not a valid float"),
+            ("rho=", "config key 'rho': '' is not a valid float"),
+            ("n=forty", "config key 'n': 'forty' is not a valid int"),
+            # the config's own checks pass through unwrapped
+            ("sweep_values=0.6,0.3", "sweep_values must be strictly increasing"),
+        ],
+    )
+    def test_experiment_config_malformed_value_exit_2(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"sweep=rho\nsweep_values=0.3\nn=40\nL=4\nn0=8\n{line}\n")
+        code = cli_main(
+            ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+class TestCliPaths:
+    def test_dataset_name_found_in_data_dir(self, tmp_path, capsys):
+        # the PDF sorts first, so the name alone would pick it
+        (tmp_path / "Lazega-Law-Firm_README.pdf").write_bytes(b"%PDF-1.4\n")
+        write_two_blocks(tmp_path / "Lazega-Law-Firm_multiplex.edges")
+        found = io_cli._resolve_dataset("lazega", str(tmp_path))
+        assert found == str(tmp_path / "Lazega-Law-Firm_multiplex.edges")
+        out_dir = tmp_path / "out"
+        code = cli_main(
+            ["estimate", "--data", "Lazega", "--data-dir", str(tmp_path), "--k", "2",
+             "--out-dir", str(out_dir)]
+        )
+        assert code == 0, capsys.readouterr().err
+        assert (out_dir / "membership.csv").exists()
+
+    def test_cs_aarhus_matches_aucs(self, tmp_path):
+        (tmp_path / "aucs_edgelist.txt").write_text("1 1 2\n")
+        found = io_cli._resolve_dataset("cs-aarhus", str(tmp_path))
+        assert found == str(tmp_path / "aucs_edgelist.txt")
+
+    def test_select_k_single_k_range(self, tmp_path, capsys):
+        path = tmp_path / "blocks.edges"
+        write_two_blocks(path)
+        code = cli_main(["select-k", "--data", str(path), "--range", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("K=3: ")
+        assert lines[1].startswith("(3, ")
+
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        plain = tmp_path / "plain.cfg"
+        plain.write_text("sweep=rho\nsweep_values=0.3,0.6\nrepetitions=2\n")
+        noted = tmp_path / "noted.cfg"
+        noted.write_text(
+            "# a rho sweep\n\nsweep=rho\n   # indented comment\n"
+            "sweep_values=0.3,0.6\n\nrepetitions=2\n"
+        )
+        cfg = io_cli._parse_config_file(str(noted))
+        assert cfg == io_cli._parse_config_file(str(plain))
+        assert cfg.sweep_values == (0.3, 0.6)
+
+    def test_config_line_without_equals_reports_number(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# comment\nsweep=rho\nsweep_values 0.3\n")
+        with pytest.raises(ParseError) as info:
+            io_cli._parse_config_file(str(cfg))
+        assert info.value.line_number == 3
+        code = cli_main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: ParseError: line 3: expected key=value\n"
+
+    @pytest.mark.parametrize("missing", ["sweep", "sweep_values"])
+    def test_config_missing_required_key_exit_2(self, tmp_path, capsys, missing):
+        cfg = tmp_path / "short.cfg"
+        body = {"sweep": "rho", "sweep_values": "0.3"}
+        del body[missing]
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in body.items()))
+        code = cli_main(["experiment", "--config", str(cfg), "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: config file missing required key {missing!r}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, line_number, message",
+        [
+            ("", None, "is not a membership CSV"),
+            ("node,weight\n1,1\n", None, "is not a membership CSV"),
+            ("node,pi_1,pi_2\n1,1\n", 2, "line 2: too few columns"),
+            ("node,pi_1,pi_2\n1,1,0\n2,x,1\n", 3, "line 3: non-numeric membership weight"),
+        ],
+    )
+    def test_read_membership_csv_rejects_malformed_files(
+        self, tmp_path, text, line_number, message
+    ):
+        path = tmp_path / "pi.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as info:
+            read_membership_csv(path)
+        assert info.value.line_number == line_number
+
+    def test_experiment_zero_threads_exit_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = cli_main(
+            ["experiment", "--preset", "exp1-scaled", "--threads", "0",
+             "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: ConfigError: --threads must be at least 1\n"
+        assert not out_dir.exists()

@@ -30,12 +30,6 @@ class TestTypes:
         with pytest.raises(ConfigError):
             MembershipMatrix(rows=np.array([[1.5, -0.5]]))
 
-    def test_pure_hint_must_point_at_basis_rows(self):
-        rows = np.array([[0.5, 0.5], [0.0, 1.0]])
-        with pytest.raises(ConfigError):
-            MembershipMatrix(rows=rows, pure_index_hint=(0, 1))
-        MembershipMatrix(rows=np.eye(2), pure_index_hint=(0, 1))
-
     def test_connectivity_requires_symmetry(self):
         with pytest.raises(ConfigError):
             stack([[[0.1, 0.2], [0.3, 0.1]]])
