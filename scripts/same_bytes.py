@@ -9,9 +9,10 @@ PYTHONPATH and writes into OUT_DIR:
 - ``simulate`` output: a dense input (n=600, L=20) and a Lanczos input
   (n=2100 > 2048, L=4);
 - ``estimate`` membership and node CSVs: all three methods on the dense
-  input, spdsos on the Lanczos input, and the self-loop, duplicate-line,
-  weighted and zero/negative-weight files, which the script derives from
-  the dense input;
+  and on the Lanczos input, the self-loop, duplicate-line, weighted and
+  zero/negative-weight files, which the script derives from the dense
+  input, and spsos on a weighted file derived from the Lanczos input in
+  the same way;
 - ``select-k`` stdout for spdsos fmean, spsos fsum and weighted spsum fmean
   on the dense input, and spdsos fmean and spsum fsum on the Lanczos input;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
@@ -38,19 +39,28 @@ import sys
 SEEDS = (0, 7, 20240403)
 
 
+def edges_of(lines):
+    return [line.split()[:3] for line in lines if line.strip()]
+
+
+def weighted(lines):
+    """Every edge of an edge list with a weight in 0.25..3, as a list of lines."""
+    return [f"{' '.join(e)} {(i * 37 % 11 + 1) / 4:g}" for i, e in enumerate(edges_of(lines))]
+
+
 def derived_inputs(dense_lines):
     """Edge-list variants of the dense input, each as a list of lines."""
-    edges = [line.split()[:3] for line in dense_lines if line.strip()]
+    edges = edges_of(dense_lines)
     loops = [" ".join(e) for e in edges]
     loops += [f"{1 + v % 20} {v} {v}" for v in range(1, 601, 7)]  # self-loops
     loops += loops[::5]  # duplicate lines
-    weighted = [f"{' '.join(e)} {(i * 37 % 11 + 1) / 4:g}" for i, e in enumerate(edges)]
     signed = [f"{' '.join(e)} {(-1, 0, 0.5, 2)[i % 4]:g}" for i, e in enumerate(edges)]
-    return {"loops.edges": loops, "weighted.edges": weighted, "signed.edges": signed}
+    return {"loops.edges": loops, "weighted.edges": weighted(dense_lines), "signed.edges": signed}
 
 
-CONFIG = ["sweep=n", "sweep_values=60,90", "n0=10", "L=4", "repetitions=2",
-          "methods=spdsos, spsum"]
+# n0 is left out: an n sweep takes n0 = n // 4 at each point, and a config
+# that sets it is refused
+CONFIG = ["sweep=n", "sweep_values=60,90", "L=4", "repetitions=2", "methods=spdsos, spsum"]
 
 SIMULATIONS = [
     ("simulate-dense", ["simulate", "--n", "600", "--k", "3", "--layers", "20",
@@ -64,6 +74,9 @@ ESTIMATES = [
     ("dense", "spsos", []),
     ("dense", "spsum", []),
     ("lanczos", "spdsos", []),
+    ("lanczos", "spsos", []),
+    ("lanczos", "spsum", []),
+    ("weighted-lanczos", "spsos", ["--keep-weights"]),
     ("loops", "spsos", ["--keep-self-loops"]),
     ("loops", "spdsos", []),
     ("weighted", "spsum", ["--keep-weights", "--keep-self-loops"]),
@@ -129,6 +142,8 @@ def main() -> int:
         run(name, argv, env)
     with open("dense.edges") as handle:
         inputs = derived_inputs(handle.readlines())
+    with open("lanczos.edges") as handle:
+        inputs["weighted-lanczos.edges"] = weighted(handle.readlines())
     inputs["sweep-n.cfg"] = CONFIG
     for path, lines in inputs.items():
         with open(path, "w") as handle:

@@ -48,31 +48,37 @@ def build_aggregates(
 ) -> Iterator[AggregateMatrix]:
     """Yield the aggregate matrix of each method id in turn.
 
-    Binary layers are squared once for SPDSoS and SPSoS together: the plain
-    sum of squares is the debiased one with the summed degrees put back on
-    its diagonal, which the debiasing leaves exactly zero. Besides the
-    aggregate last yielded, at most the debiased one is kept.
+    When both run, binary layers are squared once for SPDSoS and SPSoS
+    together: the plain sum of squares is the debiased one with the summed
+    degrees put back on its diagonal, which the debiasing leaves exactly
+    zero. A debiased aggregate applied matrix-free has no diagonal to put
+    them on, so SPSoS then gets its own from ``build_sos``, as it does on
+    its own or on weighted layers. Besides the aggregate last yielded, at
+    most the debiased one is kept.
     """
     keys = []
     for method in methods:
         if method.upper() not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         keys.append(method.upper())
+    shared = net.binary and SPDSOS in keys
     debiased = None
     for key in keys:
         if key == SPSUM:
             yield build_asum(net)
-        elif key == SPSOS and not net.binary:
+        elif key == SPSOS and not shared:
             yield build_sos(net)
         else:
             if debiased is None:
                 debiased = build_ssum_debiased(net)
             if key == SPDSOS:
                 yield debiased
-            else:
+            elif isinstance(debiased.matrix, np.ndarray):
                 sos = debiased.matrix.copy()
                 sos[np.diag_indices_from(sos)] += net.layers.sum(axis=(0, 2), dtype=float)
                 yield AggregateMatrix(matrix=sos)
+            else:
+                yield build_sos(net)
 
 
 def build_aggregate(net: MultiLayerNetwork, method: str) -> AggregateMatrix:

@@ -21,6 +21,9 @@ from .metrics import membership_errors
 from .model import (
     ExpectationStack,
     MultiLayerNetwork,
+    check_connectivity_sizes,
+    check_membership_sizes,
+    check_rho,
     generate_connectivity,
     generate_membership,
     sample_mlmmsb,
@@ -66,6 +69,13 @@ class ExperimentConfig:
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+        # every cell's parameters, checked by the model's own rules before
+        # any output is made
+        for value in values:
+            n, L, rho, n0 = self.point(value)
+            check_membership_sizes(n, self.K, n0)
+            check_connectivity_sizes(self.K, L)
+            check_rho(rho)
 
     def point(self, value):
         """Fixed parameters with the swept axis replaced by ``value``."""

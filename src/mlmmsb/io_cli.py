@@ -470,6 +470,11 @@ def _parse_config_file(path: str) -> ExperimentConfig:
             f"unknown config key {', '.join(map(repr, unknown))}; "
             f"accepted keys: {', '.join(accepted)}"
         )
+    if values.get("sweep") == experiments.SWEEP_N and "n0" in values:
+        raise ConfigError(
+            "config key 'n0' has no effect under sweep=n: each point takes "
+            f"n0 = n // {experiments.N_SWEEP_PURE_DIVISOR}"
+        )
     try:
         kwargs = {"sweep": values["sweep"]}
         kwargs["sweep_values"] = tuple(

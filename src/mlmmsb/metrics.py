@@ -194,10 +194,11 @@ def estimate_k(
 
     Builds the method's aggregate, decomposes it once for the largest
     candidate and estimates each K from the leading K pairs (bit for bit
-    ``top_k_eigen(agg, K)`` on the dense path only), then scores the
-    memberships; ties go to the smaller K. A failed build raises, a failed
-    decomposition fails every K, and a K where the estimator fails is
-    skipped and recorded.
+    ``top_k_eigen(agg, K)`` on the dense path only; on the Lanczos path,
+    one solve for the largest candidate's pairs, plus the deflated solve
+    for its tie note), then scores the memberships; ties go to the smaller K.
+    A failed build raises, a failed decomposition fails every K, and a K
+    where the estimator fails is skipped and recorded.
     """
     k_values = sorted(set(int(k) for k in k_range))
     if not k_values:

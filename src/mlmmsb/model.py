@@ -44,6 +44,29 @@ class MembershipMatrix:
         return self.rows.shape[1]
 
 
+def check_membership_sizes(n: int, K: int, n0: int) -> None:
+    """The sizes ``generate_membership`` accepts: n, K >= 1, n0 >= 0, K*n0 <= n."""
+    if n < 1 or K < 1:
+        raise ConfigError(f"n and K must be at least 1, got n={n}, K={K}")
+    if n0 < 0:
+        raise ConfigError(f"n0 must be nonnegative, got {n0}")
+    if K * n0 > n:
+        raise ConfigError(f"K*n0 = {K * n0} exceeds n = {n}")
+
+
+def check_connectivity_sizes(K: int, L: int) -> None:
+    """The sizes ``generate_connectivity`` accepts: K, L >= 1."""
+    if K < 1 or L < 1:
+        raise ConfigError("K and L must be at least 1")
+
+
+def check_rho(rho: float) -> None:
+    """The sparsity scales a ConnectivityStack accepts: [0, 1], not NaN."""
+    # rho = 0 is admitted so degenerate zero-probability cases stay expressible
+    if not (0 <= rho <= 1):
+        raise ConfigError("rho must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ConnectivityStack:
     """L symmetric K x K connectivity matrices plus the sparsity scale rho."""
@@ -62,9 +85,7 @@ class ConnectivityStack:
             raise ConfigError("connectivity entries must lie in [0, 1]")
         if np.max(np.abs(mats - mats.transpose(0, 2, 1))) > 0:
             raise ConfigError("every connectivity matrix must be symmetric")
-        # rho = 0 is admitted so degenerate zero-probability cases stay expressible
-        if not (0 <= self.rho <= 1):
-            raise ConfigError("rho must lie in [0, 1]")
+        check_rho(self.rho)
 
     @property
     def K(self) -> int:
@@ -212,12 +233,7 @@ def generate_membership(n: int, K: int, n0: int, seed: int) -> MembershipMatrix:
     For K=3 the mixed rows follow the recipe (r1/2, r2/2, 1 - r1/2 - r2/2)
     with r1, r2 ~ Uniform[0,1]; for other K they are symmetric Dirichlet(1).
     """
-    if n < 1 or K < 1:
-        raise ConfigError(f"n and K must be at least 1, got n={n}, K={K}")
-    if n0 < 0:
-        raise ConfigError(f"n0 must be nonnegative, got {n0}")
-    if K * n0 > n:
-        raise ConfigError(f"K*n0 = {K * n0} exceeds n = {n}")
+    check_membership_sizes(n, K, n0)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     rows = np.zeros((n, K))
     for k in range(K):
@@ -237,8 +253,7 @@ def generate_membership(n: int, K: int, n0: int, seed: int) -> MembershipMatrix:
 
 def generate_connectivity(K: int, L: int, seed: int, rho: float = 1.0) -> ConnectivityStack:
     """L symmetric K x K matrices with i.i.d. Uniform[0,1] upper triangles."""
-    if K < 1 or L < 1:
-        raise ConfigError("K and L must be at least 1")
+    check_connectivity_sizes(K, L)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     mats = np.zeros((L, K, K))
     iu = np.triu_indices(K)

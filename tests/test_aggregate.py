@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +18,11 @@ from mlmmsb import (
     build_asum,
     build_sos,
     build_ssum_debiased,
+    estimate_k,
     expected_adjacency,
     generate_connectivity,
     generate_membership,
+    q_fmean,
     sample_mlmmsb,
     top_k_eigen,
 )
@@ -28,7 +31,9 @@ from mlmmsb.aggregate import (
     DENSE_EIG_LIMIT,
     AggregateMatrix,
     _order_by_magnitude,
+    _square_sum,
 )
+from mlmmsb.estimators import build_aggregate, estimate, estimate_from_embedding
 from mlmmsb.model import ExpectationStack
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -120,6 +125,11 @@ class TestSquaresAgainstFloat64:
         net = sample_mlmmsb(pi, conn, seed=n, allow_self_loops=self_loops)
         assert net.binary
         reference = float64_square_sum(net.layers)
+        if n > DENSE_EIG_LIMIT:
+            # the builders apply the square matrix-free there (TestSquaresOperator);
+            # the formed square is still exact
+            assert np.array_equal(_square_sum(net), reference)
+            return
         assert np.array_equal(build_sos(net).matrix, reference)
         reference[np.diag_indices(n)] -= net.layers.sum(axis=(0, 2), dtype=float)
         assert np.array_equal(build_ssum_debiased(net).matrix, reference)
@@ -180,6 +190,137 @@ class TestSquareSumMemory:
         monkeypatch.setattr(aggregate, "FLOAT32_EXACT", 2 * self.n)
         assert traced_peak(build_ssum_debiased, net) >= 15 * self.n**2
         assert np.array_equal(build_ssum_debiased(net).matrix, want)
+
+
+N_ABOVE = DENSE_EIG_LIMIT + 52
+
+
+def binary_above(self_loops=True):
+    pi = generate_membership(N_ABOVE, 3, N_ABOVE // 6, seed=N_ABOVE)
+    conn = generate_connectivity(3, 2, seed=3, rho=0.3)
+    return sample_mlmmsb(pi, conn, seed=N_ABOVE + 1, allow_self_loops=self_loops)
+
+
+@pytest.fixture(scope="module")
+def above():
+    """A binary network just above the dense limit, with its float64 square sum."""
+    net = binary_above()
+    return net, float64_square_sum(net.layers)
+
+
+def debiased_of(square, net):
+    out = square.copy()
+    out[np.diag_indices_from(out)] -= net.layers.sum(axis=(0, 2), dtype=float)
+    return out
+
+
+def assert_applies(agg, formed):
+    """agg holds an operator that applies formed to a random block, to 1e-12."""
+    assert not isinstance(agg.matrix, np.ndarray)
+    assert agg.n == formed.shape[0]
+    block = np.random.default_rng(7).standard_normal((formed.shape[0], 4))
+    want = formed @ block
+    assert np.max(np.abs(agg.matrix @ block - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestSquaresOperator:
+    """Above DENSE_EIG_LIMIT the squared builders of a MultiLayerNetwork apply
+    the aggregate matrix-free."""
+
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_binary_matches_float64_loop(self, self_loops):
+        net = binary_above(self_loops)
+        square = float64_square_sum(net.layers)
+        assert_applies(build_sos(net), square)
+        assert_applies(build_ssum_debiased(net), debiased_of(square, net))
+
+    def test_weighted_matches_float64_loop(self, above):
+        net, _ = above
+        n = net.n
+        weights = np.array([0.1, 1 / 3, 2.5])[np.add.outer(np.arange(n), np.arange(n)) % 3]
+        weighted = MultiLayerNetwork(layers=net.layers * weights)
+        assert not weighted.binary
+        assert_applies(build_sos(weighted), float64_square_sum(weighted.layers))
+
+    def test_expectation_stack_stays_formed(self):
+        pi = generate_membership(N_ABOVE, 3, 100, seed=5)
+        omega = expected_adjacency(pi, generate_connectivity(3, 1, seed=6, rho=0.3))
+        assert isinstance(build_sos(omega).matrix, np.ndarray)
+
+    @pytest.mark.parametrize("method", ["spdsos", "spsos"])
+    def test_estimate_matches_formed_matrix(self, above, method):
+        net, square = above
+        formed = debiased_of(square, net) if method == "spdsos" else square
+        got = estimate(build_aggregate(net, method), 3, method)
+        want = estimate(AggregateMatrix(formed), 3, method)
+        assert got.vertices.indices == want.vertices.indices
+        assert np.max(np.abs(got.pi_hat.rows - want.pi_hat.rows)) < 1e-8
+        assert np.allclose(got.eigenvalues, want.eigenvalues, rtol=1e-8, atol=0)
+        assert got.diagnostics == want.diagnostics
+
+    @pytest.mark.parametrize("method", ["spdsos", "spsos"])
+    def test_estimate_k_matches_formed_matrix(self, above, method):
+        net, square = above
+        formed = debiased_of(square, net) if method == "spdsos" else square
+        shared = top_k_eigen(AggregateMatrix(formed), 4)
+        want = {
+            k: q_fmean(net, estimate_from_embedding(shared.leading(k), method).pi_hat)
+            for k in (2, 3, 4)
+        }
+        selection = estimate_k(net, method, (2, 3, 4), "fmean")
+        assert selection.scores == pytest.approx(want, rel=0, abs=1e-8)
+
+    @pytest.mark.parametrize("build", [build_ssum_debiased, build_sos])
+    def test_no_formed_square(self, above, build):
+        net, _ = above
+        peak = traced_peak(lambda net: top_k_eigen(build(net), 3), net)
+        assert peak < 8 * net.n**2
+
+    def test_overflowing_product_is_typed(self):
+        ring = np.roll(np.eye(N_ABOVE), 1, axis=1)
+        net = MultiLayerNetwork(layers=1e200 * (ring + ring.T)[None])
+        with pytest.raises(UnusableDataError, match="overflows float64"):
+            top_k_eigen(build_sos(net), 2)
+
+
+class TestLanczosTieNote:
+    """Above the limit eigenvalue K+1 comes from a deflated solve at tol 1e-2,
+    repeated at 1e-5 and then 1e-10 only while the gap could be a tie."""
+
+    def run(self, monkeypatch, top):
+        rest = np.random.default_rng(9).uniform(-1.0, 1.0, N_ABOVE - len(top))
+        diagonal = scipy.sparse.diags_array(np.concatenate([top, rest]))
+        eigsh = scipy.sparse.linalg.eigsh
+        calls = []
+
+        def counting(matrix, k, **kwargs):
+            calls.append(k)
+            return eigsh(matrix, k, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        agg = AggregateMatrix(scipy.sparse.linalg.aslinearoperator(diagonal))
+        return top_k_eigen(agg, 3), calls
+
+    def test_tie_gives_the_note(self, monkeypatch):
+        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, -6.0])
+        assert emb.warnings
+        assert calls == [3, 1, 1, 1]
+
+    def test_near_tie_resolved_by_the_full_solve(self, monkeypatch):
+        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, -6.0 * (1 - 1e-6)])
+        assert not emb.warnings
+        assert calls == [3, 1, 1, 1]
+
+    def test_bulk_gap_resolved_by_the_middle_solve(self, monkeypatch):
+        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, -6.0 * (1 - 1e-3)])
+        assert not emb.warnings
+        assert calls == [3, 1, 1]
+
+    def test_clear_gap_gives_none(self, monkeypatch):
+        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, 3.0])
+        assert not emb.warnings
+        assert np.allclose(emb.eigenvalues, [10.0, 8.0, 6.0], rtol=1e-10, atol=0)
+        assert calls == [3, 1]
 
 
 def imported_modules(tree):
@@ -276,6 +417,12 @@ class TestTopKEigen:
     def test_k_out_of_range(self):
         with pytest.raises(DimensionError):
             top_k_eigen(AggregateMatrix(np.eye(3)), 4)
+
+    def test_lanczos_needs_k_below_n(self):
+        # eigsh has no K+1 to deflate to at K = n, and cannot take a LinearOperator there
+        n = DENSE_EIG_LIMIT + 1
+        with pytest.raises(DimensionError, match="Lanczos"):
+            top_k_eigen(AggregateMatrix(np.eye(n)), n)
 
     def test_degeneracy_warning_on_boundary_tie(self):
         emb = top_k_eigen(AggregateMatrix(np.diag([2.0, -2.0, 1.0])), 1)

@@ -53,6 +53,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(methods=("kmeans",))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(sweep="L", sweep_values=(4,), rho=float("nan")),
+            dict(K=0),
+            dict(n=0),
+            dict(L=0),
+            dict(n0=-1),
+            dict(n0=21),  # K * n0 = 63 > n = 60
+            dict(sweep="rho", sweep_values=(0.5, 1.5)),
+            dict(sweep="L", sweep_values=(0, 4)),
+            dict(sweep="n", sweep_values=(40, 60), K=5),  # n0 = n // 4 at each point
+        ],
+    )
+    def test_rejects_every_bad_point(self, overrides):
+        with pytest.raises(ConfigError):
+            tiny_config(**overrides)
+
     def test_point_resolution(self):
         cfg = tiny_config(sweep="n", sweep_values=(100, 200))
         n, L, rho, n0 = cfg.point(200)

@@ -77,21 +77,35 @@ def test_dense_commands_load_no_scipy(command, small, tmp_path):
     assert fresh(command, *args) == {"code": 0, "scipy": []}
 
 
-def test_lanczos_estimate_loads_sparse_linalg_and_writes(tmp_path):
-    data = tmp_path / "big.edges"
-    n = DENSE_EIG_LIMIT + 52
+@pytest.fixture(scope="module")
+def big(tmp_path_factory):
+    out = tmp_path_factory.mktemp("big") / "big.edges"
     code = cli_main(
-        ["simulate", "--n", str(n), "--n0", "300", "--layers", "2", "--rho", "0.05",
-         "--seed", "1", "--out", str(data)]
+        ["simulate", "--n", str(DENSE_EIG_LIMIT + 52), "--n0", "300", "--layers", "2",
+         "--rho", "0.05", "--seed", "1", "--out", str(out)]
     )
     assert code == 0
-    report = fresh("estimate", "--data", str(data), "--method", "spsum", "--k", "3",
-                   "--out-dir", str(tmp_path / "est"))
+    return out
+
+
+def lanczos_estimate(data, method, out_dir):
+    """Run estimate on data above the dense limit; returns the loaded scipy modules."""
+    report = fresh("estimate", "--data", str(data), "--method", method, "--k", "3",
+                   "--out-dir", str(out_dir))
     assert report["code"] == 0
-    assert "scipy.sparse.linalg" in report["scipy"]
-    rows = (tmp_path / "est" / "membership.csv").read_text().splitlines()
-    assert len(rows) == n + 1
-    assert len((tmp_path / "est" / "nodes.csv").read_text().splitlines()) == n + 1
+    n = DENSE_EIG_LIMIT + 52
+    assert len((out_dir / "membership.csv").read_text().splitlines()) == n + 1
+    assert len((out_dir / "nodes.csv").read_text().splitlines()) == n + 1
+    return report["scipy"]
+
+
+def test_lanczos_estimate_loads_sparse_linalg_and_writes(big, tmp_path):
+    assert "scipy.sparse.linalg" in lanczos_estimate(big, "spsum", tmp_path / "est")
+
+
+def test_lanczos_spdsos_estimate_loads_sparse_linalg(big, tmp_path):
+    # the matrix-free square loads it while building the aggregate
+    assert "scipy.sparse.linalg" in lanczos_estimate(big, "spdsos", tmp_path / "est")
 
 
 def test_experiment_loads_csgraph_and_writes(tmp_path):

@@ -751,6 +751,19 @@ class TestCli:
         assert "UnusableDataError" in capsys.readouterr().err
         assert not (tmp_path / "membership.csv").exists()
 
+    def test_lanczos_weighted_overflow_exit_2(self, tmp_path, capsys):
+        # a ring of weight 1e200: every product with its square overflows
+        path = tmp_path / "ring.edges"
+        n = DENSE_EIG_LIMIT + 52
+        path.write_text("".join(f"1 {i} {i % n + 1} 1e200\n" for i in range(1, n + 1)))
+        code = cli_main(
+            ["estimate", "--data", str(path), "--method", "spsos", "--keep-weights",
+             "--k", "2", "--out-dir", str(tmp_path)]
+        )
+        assert code == 2
+        assert "error: UnusableDataError: " in capsys.readouterr().err
+        assert not (tmp_path / "membership.csv").exists()
+
     def test_estimate_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.edges"
         path.write_text("1 1 2\n")
@@ -989,6 +1002,34 @@ class TestCliInputErrors:
     def test_experiment_config_malformed_value_exit_2(self, tmp_path, capsys, line, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"sweep=rho\nsweep_values=0.3\nn=40\nL=4\nn0=8\n{line}\n")
+        code = cli_main(
+            ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("sweep=L\nsweep_values=4\nn0=8\nrho=nan", "rho must lie in [0, 1]"),
+            ("sweep=L\nsweep_values=4\nn0=8\nK=0", "n and K must be at least 1, got n=40, K=0"),
+            ("sweep=rho\nsweep_values=0.3,0.6\nn0=8\nL=0", "K and L must be at least 1"),
+            ("sweep=rho\nsweep_values=0.5,1.5\nn0=8", "rho must lie in [0, 1]"),
+            ("sweep=n0\nsweep_values=5,20", "K*n0 = 60 exceeds n = 40"),
+            ("sweep=L\nsweep_values=4\nn0=-1", "n0 must be nonnegative, got -1"),
+            (
+                "sweep=n\nsweep_values=60,90\nn0=10",
+                "config key 'n0' has no effect under sweep=n: each point takes n0 = n // 4",
+            ),
+        ],
+    )
+    def test_experiment_config_bad_point_exit_2_before_out_dir(
+        self, tmp_path, capsys, body, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n=40\nL=4\nrepetitions=1\n{body}\n")
         code = cli_main(
             ["experiment", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
         )
