@@ -113,35 +113,50 @@ def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     return AggregateMatrix(matrix=total)
 
 
-def _squares_operator(
-    net: MultiLayerNetwork, debiased: bool
-) -> scipy.sparse.linalg.LinearOperator:
-    """x -> sum over layers of A_l (A_l x), minus d * x when debiased, where d
-    holds the summed degrees: the squared aggregate as a LinearOperator on
-    sparse layers, never formed.
+def _csr_layers(net: MultiLayerNetwork) -> list:
+    """The layers as scipy CSR arrays, each from one scan of the layer.
 
-    Each CSR layer comes from one scan of the layer: row i starts at flat
-    index i*n. A binary layer's degree is its row's nonzero count. A product
-    that is not finite (weighted layers whose squares overflow float64)
-    raises UnusableDataError.
+    Row i starts at flat index i*n. Indices and row pointers are int32 while
+    n*n < 2**31, which bounds every entry count, and int64 above: scipy keeps
+    the int64 arrays it is handed, at 4 more bytes per stored entry. A
+    binary layer's entries are ones, so they need no gather from the layer.
     """
     import scipy.sparse
-    import scipy.sparse.linalg
 
     n = net.n
+    index = np.int32 if n * n < 2**31 else np.int64
     starts = np.arange(n + 1) * n
-    shift = np.zeros(n)
     layers = []
     for a in net.layers:
         # a binary layer holds only 0 and 1, and numpy scans bool for
         # nonzeros about twice as fast as uint8
         idx = np.flatnonzero(a.view(bool) if net.binary else a)
-        indptr = np.searchsorted(idx, starts)
-        data = a.ravel()[idx].astype(np.float64)
-        cols = np.remainder(idx, n, out=idx)
+        data = np.ones(idx.size) if net.binary else a.ravel()[idx]
+        indptr = np.searchsorted(idx, starts).astype(index)
+        cols = np.remainder(idx, n, out=idx).astype(index)
         layers.append(scipy.sparse.csr_array((data, cols, indptr), shape=(n, n)))
-        if debiased:
-            shift -= np.diff(indptr)
+    return layers
+
+
+def _squares_operator(
+    net: MultiLayerNetwork, debiased: bool
+) -> scipy.sparse.linalg.LinearOperator:
+    """x -> sum over layers of A_l (A_l x), minus d * x when debiased, where d
+    holds the summed degrees: the squared aggregate as a LinearOperator on
+    the CSR layers of ``_csr_layers``, never formed.
+
+    A binary layer's degree is its row's nonzero count. A product that is
+    not finite (weighted layers whose squares overflow float64) raises
+    UnusableDataError.
+    """
+    import scipy.sparse.linalg
+
+    n = net.n
+    layers = _csr_layers(net)
+    shift = np.zeros(n)
+    if debiased:
+        for a in layers:
+            shift -= np.diff(a.indptr)
 
     def matvec(x):
         x = np.ravel(x)
@@ -219,9 +234,10 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lanczos(matrix, K: int):
+def _lanczos(matrix, K: int, tie_note: bool):
     """The K largest-magnitude eigenpairs of a symmetric array or operator,
-    and an estimate of eigenvalue K+1 for the tie note.
+    and, when ``tie_note`` is set, an estimate of eigenvalue K+1 for the tie
+    note (otherwise an empty tuple).
 
     ARPACK solves for K pairs only: asking it for K+1 spends most of its
     products on the (K+1)th, which lies at the edge of the noise bulk. That
@@ -248,6 +264,8 @@ def _lanczos(matrix, K: int):
         values, vectors = scipy.sparse.linalg.eigsh(
             matrix, k=K, which="LM", tol=1e-10, v0=v0
         )
+        if not tie_note:
+            return values, vectors, ()
 
         def deflated(x):
             x = np.ravel(x)
@@ -271,7 +289,7 @@ def _lanczos(matrix, K: int):
     return values, vectors, following
 
 
-def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
+def top_k_eigen(agg: AggregateMatrix, K: int, *, _tie_note: bool = True) -> Embedding:
     """Eigenpairs with the K largest absolute eigenvalues.
 
     Uses a dense solver up to n=2048 and restarted Lanczos (magnitude mode)
@@ -281,6 +299,12 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     pairs. A Lanczos run that does not converge raises UnusableDataError.
     Eigenvectors carry a deterministic sign convention: the entry of
     largest absolute value in each column is positive.
+
+    ``estimate_k``, which drops every tie note, passes the private
+    ``_tie_note=False``: the Lanczos path then skips the second solve and
+    gives no note at K, with the same pairs, order and signs. It is a
+    keyword rather than a helper so that perfbench's trace, which wraps
+    ``top_k_eigen``, still times select-k's decomposition.
     """
     n = agg.n
     if not (1 <= K <= n):
@@ -289,7 +313,7 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
         values, vectors = np.linalg.eigh(agg.matrix)
         following = ()
     else:
-        values, vectors, following = _lanczos(agg.matrix, K)
+        values, vectors, following = _lanczos(agg.matrix, K, _tie_note)
     order = _order_by_magnitude(values)
     return Embedding(
         vectors=_fix_signs(vectors[:, order[:K]]),

@@ -23,6 +23,7 @@ from .model import (
     MultiLayerNetwork,
     check_connectivity_sizes,
     check_membership_sizes,
+    check_node_count,
     check_rho,
     generate_connectivity,
     generate_membership,
@@ -74,6 +75,7 @@ class ExperimentConfig:
         for value in values:
             n, L, rho, n0 = self.point(value)
             check_membership_sizes(n, self.K, n0)
+            check_node_count(n, self.K)
             check_connectivity_sizes(self.K, L)
             check_rho(rho)
 

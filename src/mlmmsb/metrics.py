@@ -195,8 +195,9 @@ def estimate_k(
     Builds the method's aggregate, decomposes it once for the largest
     candidate and estimates each K from the leading K pairs (bit for bit
     ``top_k_eigen(agg, K)`` on the dense path only; on the Lanczos path,
-    one solve for the largest candidate's pairs, plus the deflated solve
-    for its tie note), then scores the memberships; ties go to the smaller K.
+    one solve for the largest candidate's pairs, without the deflated solve
+    that only the dropped tie notes read), then scores the memberships;
+    ties go to the smaller K.
     A failed build raises, a failed decomposition fails every K, and a K
     where the estimator fails is skipped and recorded.
     """
@@ -211,7 +212,7 @@ def estimate_k(
     score_fn = q_fsum if crit == FSUM else q_fmean
     agg = build_aggregate(net, method)
     try:
-        shared = top_k_eigen(agg, k_values[-1])
+        shared = top_k_eigen(agg, k_values[-1], _tie_note=False)
     except Exception as exc:  # noqa: BLE001 - every candidate fails with it
         failed = dict.fromkeys(k_values, f"{type(exc).__name__}: {exc}")
         raise ModelSelectionError(f"all candidate K failed: {failed}") from exc

@@ -54,6 +54,12 @@ def check_membership_sizes(n: int, K: int, n0: int) -> None:
         raise ConfigError(f"K*n0 = {K * n0} exceeds n = {n}")
 
 
+def check_node_count(n: int, K: int) -> None:
+    """The sizes ``sample_mlmmsb`` accepts: at least K nodes."""
+    if n < K:
+        raise ConfigError("need at least K nodes")
+
+
 def check_connectivity_sizes(K: int, L: int) -> None:
     """The sizes ``generate_connectivity`` accepts: K, L >= 1."""
     if K < 1 or L < 1:
@@ -204,8 +210,7 @@ def sample_mlmmsb(
     layers are independent. Edge probabilities are computed one layer at a
     time; the (L, n, n) expectation stack is never held.
     """
-    if pi.n < pi.K:
-        raise ConfigError("need at least K nodes")
+    check_node_count(pi.n, pi.K)
     _check_k(pi, conn)
     n, L = pi.n, conn.L
     lam_k = np.linalg.eigvalsh(conn.matrices.sum(axis=0))

@@ -234,6 +234,22 @@ class TestSquaresOperator:
         assert_applies(build_sos(net), square)
         assert_applies(build_ssum_debiased(net), debiased_of(square, net))
 
+    @pytest.mark.parametrize("self_loops", [False, True])
+    def test_int32_layers_apply_bit_for_bit(self, self_loops):
+        net = binary_above(self_loops)
+        layers = aggregate._csr_layers(net)
+        assert all(a.indices.dtype == a.indptr.dtype == np.int32 for a in layers)
+        # scipy's own CSR of each float layer, summed in the operator's order
+        reference = [scipy.sparse.csr_array(a.astype(float)) for a in net.layers]
+        x = np.random.default_rng(8).standard_normal(net.n)
+        sos = np.zeros(net.n)
+        debiased = -net.layers.sum(axis=(0, 2), dtype=float) * x
+        for a in reference:
+            sos += a @ (a @ x)
+            debiased += a @ (a @ x)
+        assert np.array_equal(build_sos(net).matrix @ x, sos)
+        assert np.array_equal(build_ssum_debiased(net).matrix @ x, debiased)
+
     def test_weighted_matches_float64_loop(self, above):
         net, _ = above
         n = net.n

@@ -71,6 +71,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
 
+    def test_rejects_fewer_nodes_than_communities(self):
+        # n0 = 0 passes the membership sizes; sampling would need n >= K
+        with pytest.raises(ConfigError, match="need at least K nodes"):
+            ExperimentConfig(sweep="L", sweep_values=(4,), n=2, K=3, n0=0, repetitions=1)
+
     def test_point_resolution(self):
         cfg = tiny_config(sweep="n", sweep_values=(100, 200))
         n, L, rho, n0 = cfg.point(200)

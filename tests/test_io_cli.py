@@ -125,6 +125,42 @@ class TestEdgeListParsing:
             tracemalloc.stop()
         assert peak < 100 * records
 
+    @pytest.mark.parametrize(
+        "n, L, records, weighted, allowance",
+        [
+            # about estimate-file's size: the loadtxt records take 24 bytes
+            # each and the index columns 8 bytes each; the uint8 stack is
+            # allocated with only the 16 bytes of each record's two cell
+            # indices left, where holding the records and the columns took
+            # 67 bytes a record
+            (2100, 4, 400_000, False, 24),
+            # the float64 stack is allocated with only the cell index and
+            # weight of each kept (i, j) and (j, i) entry left, 32 bytes a
+            # record, where holding everything took 123 bytes a record
+            (1000, 2, 100_000, True, 40),
+        ],
+    )
+    def test_records_freed_before_the_stack(self, tmp_path, n, L, records, weighted, allowance):
+        rng = np.random.default_rng(1)
+        layer = rng.integers(1, L + 1, records)
+        u, v = rng.integers(1, n + 1, (2, records))
+        u[:n] = np.arange(1, n + 1)  # every node id appears
+        columns, fmt = [layer, u, v], ["%d"] * 3
+        if weighted:
+            columns.append(rng.uniform(0.5, 2.0, records))
+            fmt.append("%.3f")
+        path = tmp_path / "net.edges"
+        np.savetxt(path, np.column_stack(columns), fmt=fmt)
+        tracemalloc.start()
+        try:
+            layers = read_multiplex_edges(path, binarize=not weighted).network.layers
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layers.shape == (L, n, n)
+        assert layers.dtype == (np.float64 if weighted else np.uint8)
+        assert peak < layers.nbytes + allowance * records
+
     def test_binarize_collapses_weights(self, tmp_path):
         path = tmp_path / "net.edges"
         path.write_text("1 1 2 5.0\n1 1 2 2.0\n")
@@ -1019,6 +1055,7 @@ class TestCliInputErrors:
             ("sweep=rho\nsweep_values=0.5,1.5\nn0=8", "rho must lie in [0, 1]"),
             ("sweep=n0\nsweep_values=5,20", "K*n0 = 60 exceeds n = 40"),
             ("sweep=L\nsweep_values=4\nn0=-1", "n0 must be nonnegative, got -1"),
+            ("sweep=n\nsweep_values=2,60", "need at least K nodes"),  # n0 = 2 // 4 = 0
             (
                 "sweep=n\nsweep_values=60,90\nn0=10",
                 "config key 'n0' has no effect under sweep=n: each point takes n0 = n // 4",
