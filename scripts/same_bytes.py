@@ -17,8 +17,9 @@ PYTHONPATH and writes into OUT_DIR:
   on the dense input, and spdsos fmean and spsum fsum on the Lanczos input;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
-- ``experiment --config`` CSVs and SVGs for a small n sweep that the script
-  writes as ``sweep-n.cfg``;
+- ``experiment --config`` CSVs and SVGs for a small n sweep and a small L
+  sweep whose values include the integral float 8.0, which the script
+  writes as ``sweep-n.cfg`` and ``sweep-L.cfg``;
 - ``classify`` stdout for the dense spdsos estimate's membership CSV;
 
 plus each command's stdout, stderr and exit code in ``<name>.out``,
@@ -58,9 +59,14 @@ def derived_inputs(dense_lines):
     return {"loops.edges": loops, "weighted.edges": weighted(dense_lines), "signed.edges": signed}
 
 
-# n0 is left out: an n sweep takes n0 = n // 4 at each point, and a config
-# that sets it is refused
-CONFIG = ["sweep=n", "sweep_values=60,90", "L=4", "repetitions=2", "methods=spdsos, spsum"]
+CONFIGS = {
+    # n0 is left out: an n sweep takes n0 = n // 4 at each point, and a
+    # config that sets it is refused
+    "n": ["sweep=n", "sweep_values=60,90", "L=4", "repetitions=2", "methods=spdsos, spsum"],
+    # an integral float on an integer axis runs as that integer
+    "L": ["sweep=L", "sweep_values=4,8.0", "n=60", "n0=15", "repetitions=2",
+          "methods=spdsos, spsum"],
+}
 
 SIMULATIONS = [
     ("simulate-dense", ["simulate", "--n", "600", "--k", "3", "--layers", "20",
@@ -108,8 +114,9 @@ def commands():
     for seed in SEEDS:
         yield f"experiment-{seed}", ["experiment", "--preset", "exp1-scaled", "--reps", "2",
                                      "--seed", str(seed), "--out-dir", f"exp-{seed}"]
-    yield "experiment-config", ["experiment", "--config", "sweep-n.cfg",
-                                "--out-dir", "exp-config"]
+    for axis in CONFIGS:
+        yield f"experiment-config-{axis}", ["experiment", "--config", f"sweep-{axis}.cfg",
+                                            "--out-dir", f"exp-config-{axis}"]
     yield "classify-dense-spdsos", ["classify", "--pi",
                                     os.path.join("estimate-dense-spdsos", "membership.csv")]
 
@@ -144,7 +151,8 @@ def main() -> int:
         inputs = derived_inputs(handle.readlines())
     with open("lanczos.edges") as handle:
         inputs["weighted-lanczos.edges"] = weighted(handle.readlines())
-    inputs["sweep-n.cfg"] = CONFIG
+    for axis, lines in CONFIGS.items():
+        inputs[f"sweep-{axis}.cfg"] = lines
     for path, lines in inputs.items():
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")

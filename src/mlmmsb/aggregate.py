@@ -51,27 +51,6 @@ class Embedding:
     def K(self) -> int:
         return self.vectors.shape[1]
 
-    def leading(self, K: int) -> Embedding:
-        """The embedding of the first K pairs, with the tie note at K.
-
-        On the dense path only, this is bit for bit ``top_k_eigen(agg, K)`` of
-        the aggregate that gave this embedding: one decomposition orders every
-        pair, and the sign of each column depends on that column alone. A
-        Lanczos run for more pairs converges to slightly other floats. Below
-        the embedding's own K, the tie note reads the next computed pair; at
-        it, the note is the one ``top_k_eigen`` gave, from its deflated solve
-        on the Lanczos path.
-        """
-        if not (1 <= K <= self.K):
-            raise DimensionError(f"K={K} out of range for an embedding of {self.K} pairs")
-        if K == self.K:
-            return self
-        return Embedding(
-            vectors=np.ascontiguousarray(self.vectors[:, :K]),
-            eigenvalues=self.eigenvalues[:K].copy(),
-            warnings=_tie_notes(self.eigenvalues, K),
-        )
-
 
 def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
     """Sum of A_l @ A_l over layers, in float64.
@@ -226,12 +205,11 @@ def _tie_notes(ordered: np.ndarray, K: int) -> tuple[str, ...]:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
+    # negate each column whose entry of largest magnitude (the lowest index
+    # on ties) is negative, in a C-ordered copy whatever the solver's order
     out = vectors.copy()
-    for k in range(out.shape[1]):
-        j = int(np.argmax(np.abs(out[:, k])))  # argmax takes lowest index on ties
-        if out[j, k] < 0:
-            out[:, k] = -out[:, k]
-    return out
+    peak = out[np.argmax(np.abs(out), axis=0), np.arange(out.shape[1])]
+    return np.negative(out, out=out, where=peak < 0)
 
 
 def _lanczos(matrix, K: int, tie_note: bool):
@@ -246,9 +224,9 @@ def _lanczos(matrix, K: int, tie_note: bool):
     accuracy tol of 1e-2. The solve is repeated at a tighter tol only while
     |lambda_K| - |lambda_K+1| is within 2 * tol * |lambda_K+1| plus the tie
     note's bound. A clear gap costs one loose solve. When lambda_K itself
-    lies in the noise bulk, as for select-k's largest candidates, the gap
-    is usually settled at 1e-5, which takes 55-65% of the products of a
-    1e-10 solve.
+    lies in the noise bulk, as for an ``estimate --k`` past the community
+    count, the gap is usually settled at 1e-5, which takes 55-65% of the
+    products of a 1e-10 solve.
     """
     # importing scipy.sparse.linalg takes longer than a dense run on a small
     # network, so only the Lanczos branch loads it; names are looked up
@@ -298,7 +276,11 @@ def top_k_eigen(agg: AggregateMatrix, K: int, *, _tie_note: bool = True) -> Embe
     comes there from a second solve on the aggregate deflated by those
     pairs. A Lanczos run that does not converge raises UnusableDataError.
     Eigenvectors carry a deterministic sign convention: the entry of
-    largest absolute value in each column is positive.
+    largest absolute value in each column is positive. On the dense path one
+    ``eigh`` orders every pair and each column's sign depends on that column
+    alone, so the first K pairs of a decomposition for more pairs are bit for
+    bit ``top_k_eigen(agg, K)``; a Lanczos solve for more pairs converges to
+    slightly other floats.
 
     ``estimate_k``, which drops every tie note, passes the private
     ``_tie_note=False``: the Lanczos path then skips the second solve and

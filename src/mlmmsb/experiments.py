@@ -73,6 +73,8 @@ class ExperimentConfig:
         # every cell's parameters, checked by the model's own rules before
         # any output is made
         for value in values:
+            if self.sweep != SWEEP_RHO and not float(value).is_integer():
+                raise ConfigError(f"{self.sweep} sweep values must be integers, got {value!r}")
             n, L, rho, n0 = self.point(value)
             check_membership_sizes(n, self.K, n0)
             check_node_count(n, self.K)

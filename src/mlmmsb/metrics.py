@@ -16,7 +16,7 @@ from .errors import (
     ModelSelectionError,
     UnusableDataError,
 )
-from .aggregate import build_asum, top_k_eigen
+from .aggregate import Embedding, build_asum, top_k_eigen
 from .estimators import build_aggregate, estimate_from_embedding
 from .model import MembershipMatrix, MultiLayerNetwork
 
@@ -193,19 +193,21 @@ def estimate_k(
     """Pick the community count maximizing a fuzzy modularity criterion.
 
     Builds the method's aggregate, decomposes it once for the largest
-    candidate and estimates each K from the leading K pairs (bit for bit
-    ``top_k_eigen(agg, K)`` on the dense path only; on the Lanczos path,
-    one solve for the largest candidate's pairs, without the deflated solve
-    that only the dropped tie notes read), then scores the memberships;
-    ties go to the smaller K.
+    candidate and estimates each K from copies of that embedding's first K
+    columns and eigenvalues (see ``top_k_eigen``), then scores the
+    memberships; ties go to the smaller K. Candidates are checked as they
+    are read, so a range past n stops at its first candidate out of bounds.
     A failed build raises, a failed decomposition fails every K, and a K
     where the estimator fails is skipped and recorded.
     """
-    k_values = sorted(set(int(k) for k in k_range))
+    k_values = set()
+    for k in map(int, k_range):
+        if not 1 <= k <= net.n:
+            raise ModelSelectionError(f"candidates must lie in [1, {net.n}]")
+        k_values.add(k)
     if not k_values:
         raise ModelSelectionError("empty candidate range")
-    if k_values[0] < 1 or k_values[-1] > net.n:
-        raise ModelSelectionError(f"candidates must lie in [1, {net.n}]")
+    k_values = sorted(k_values)
     crit = criterion.upper()
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
@@ -220,7 +222,8 @@ def estimate_k(
     failures: dict[int, str] = {}
     for k in k_values:
         try:
-            result = estimate_from_embedding(shared.leading(k), method)
+            leading = Embedding(shared.vectors[:, :k].copy(), shared.eigenvalues[:k].copy())
+            result = estimate_from_embedding(leading, method)
             scores[k] = score_fn(net, result.pi_hat)
         except Exception as exc:  # noqa: BLE001 - record and move on
             failures[k] = f"{type(exc).__name__}: {exc}"

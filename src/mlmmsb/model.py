@@ -261,8 +261,7 @@ def generate_connectivity(K: int, L: int, seed: int, rho: float = 1.0) -> Connec
     check_connectivity_sizes(K, L)
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     mats = np.zeros((L, K, K))
-    iu = np.triu_indices(K)
-    for l in range(L):
-        mats[l][iu] = rng.random(iu[0].size)
-        mats[l] = np.maximum(mats[l], mats[l].T)
-    return ConnectivityStack(matrices=mats, rho=rho)
+    rows, cols = np.triu_indices(K)
+    # one draw in layer order, as L draws of one triangle each would give
+    mats[:, rows, cols] = rng.random((L, rows.size))
+    return ConnectivityStack(matrices=np.maximum(mats, mats.transpose(0, 2, 1)), rho=rho)

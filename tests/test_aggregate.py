@@ -30,10 +30,16 @@ from mlmmsb import aggregate
 from mlmmsb.aggregate import (
     DENSE_EIG_LIMIT,
     AggregateMatrix,
+    Embedding,
     _order_by_magnitude,
     _square_sum,
 )
-from mlmmsb.estimators import build_aggregate, estimate, estimate_from_embedding
+from mlmmsb.estimators import (
+    build_aggregate,
+    build_aggregates,
+    estimate,
+    estimate_from_embedding,
+)
 from mlmmsb.model import ExpectationStack
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
@@ -258,6 +264,15 @@ class TestSquaresOperator:
         assert not weighted.binary
         assert_applies(build_sos(weighted), float64_square_sum(weighted.layers))
 
+    def test_build_aggregates_gives_each_method_its_operator(self, above):
+        # the debiased operator has no diagonal to put the degrees back on,
+        # so SPSoS gets its own from build_sos
+        net, square = above
+        aggs = list(build_aggregates(net, ("spdsos", "spsos")))
+        assert len(aggs) == 2
+        assert_applies(aggs[0], debiased_of(square, net))
+        assert_applies(aggs[1], square)
+
     def test_expectation_stack_stays_formed(self):
         pi = generate_membership(N_ABOVE, 3, 100, seed=5)
         omega = expected_adjacency(pi, generate_connectivity(3, 1, seed=6, rho=0.3))
@@ -279,10 +294,10 @@ class TestSquaresOperator:
         net, square = above
         formed = debiased_of(square, net) if method == "spdsos" else square
         shared = top_k_eigen(AggregateMatrix(formed), 4)
-        want = {
-            k: q_fmean(net, estimate_from_embedding(shared.leading(k), method).pi_hat)
-            for k in (2, 3, 4)
-        }
+        want = {}
+        for k in (2, 3, 4):
+            first = Embedding(shared.vectors[:, :k].copy(), shared.eigenvalues[:k].copy())
+            want[k] = q_fmean(net, estimate_from_embedding(first, method).pi_hat)
         selection = estimate_k(net, method, (2, 3, 4), "fmean")
         assert selection.scores == pytest.approx(want, rel=0, abs=1e-8)
 
@@ -508,49 +523,21 @@ def sampled_dsos(n, K=3, L=4):
     return build_ssum_debiased(sampled_binary(n, L, K))
 
 
-def assert_same_embedding(got, want):
-    assert np.array_equal(got.vectors, want.vectors)
-    assert np.array_equal(got.eigenvalues, want.eigenvalues)
-    assert got.warnings == want.warnings
-
-
 class TestSharedDecomposition:
     @pytest.mark.parametrize("n", [61, 600])
     def test_each_k_equals_its_own_decomposition(self, n):
         agg = sampled_dsos(n)
         shared = top_k_eigen(agg, 6)
         for K in range(1, 7):
-            assert_same_embedding(shared.leading(K), top_k_eigen(agg, K))
+            own = top_k_eigen(agg, K)
+            assert shared.vectors[:, :K].tobytes() == own.vectors.tobytes()
+            assert shared.eigenvalues[:K].tobytes() == own.eigenvalues.tobytes()
 
-    @pytest.mark.parametrize("k_max", [1, 2, 3, 4])
-    def test_tie_notes_match(self, k_max):
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_tie_notes_match(self, K):
         # |3| = |-3| ties across K = 1 and |1| = |-1| across K = 3
         agg = AggregateMatrix(np.diag([3.0, -3.0, 1.0, -1.0, 0.5]))
-        shared = top_k_eigen(agg, k_max)
-        for K in range(1, k_max + 1):
-            want = top_k_eigen(agg, K)
-            assert bool(want.warnings) == (K in (1, 3))
-            assert_same_embedding(shared.leading(K), want)
-
-    def test_one_dense_eigh(self, monkeypatch):
-        eigh = np.linalg.eigh
-        calls = []
-
-        def counting(matrix):
-            calls.append(matrix.shape)
-            return eigh(matrix)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting)
-        shared = top_k_eigen(sampled_dsos(61), 5)
-        for K in range(1, 6):
-            shared.leading(K)
-        assert calls == [(61, 61)]
-
-    def test_leading_out_of_range(self):
-        emb = top_k_eigen(AggregateMatrix(np.diag([3.0, 2.0, 1.0])), 2)
-        for K in (0, 3):
-            with pytest.raises(DimensionError):
-                emb.leading(K)
+        assert bool(top_k_eigen(agg, K).warnings) == (K in (1, 3))
 
 
 class TestIdealSimplex:

@@ -65,11 +65,18 @@ class TestConfig:
             dict(sweep="rho", sweep_values=(0.5, 1.5)),
             dict(sweep="L", sweep_values=(0, 4)),
             dict(sweep="n", sweep_values=(40, 60), K=5),  # n0 = n // 4 at each point
+            dict(sweep="L", sweep_values=(4.2, 4.7)),  # L, n and n0 take whole numbers
+            dict(sweep="n", sweep_values=(float("inf"),)),
+            dict(sweep="n0", sweep_values=(float("nan"),)),
         ],
     )
     def test_rejects_every_bad_point(self, overrides):
         with pytest.raises(ConfigError):
             tiny_config(**overrides)
+
+    def test_accepts_integral_floats_on_integer_axis(self):
+        cfg = tiny_config(sweep="L", sweep_values=(4, 8.0, 1e1))
+        assert [cfg.point(v)[1] for v in cfg.sweep_values] == [4, 8, 10]
 
     def test_rejects_fewer_nodes_than_communities(self):
         # n0 = 0 passes the membership sizes; sampling would need n >= K

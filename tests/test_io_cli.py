@@ -1056,6 +1056,8 @@ class TestCliInputErrors:
             ("sweep=n0\nsweep_values=5,20", "K*n0 = 60 exceeds n = 40"),
             ("sweep=L\nsweep_values=4\nn0=-1", "n0 must be nonnegative, got -1"),
             ("sweep=n\nsweep_values=2,60", "need at least K nodes"),  # n0 = 2 // 4 = 0
+            ("sweep=L\nsweep_values=4.2,4.7\nn0=8", "L sweep values must be integers, got 4.2"),
+            ("sweep=n0\nsweep_values=5,7.5", "n0 sweep values must be integers, got 7.5"),
             (
                 "sweep=n\nsweep_values=60,90\nn0=10",
                 "config key 'n0' has no effect under sweep=n: each point takes n0 = n // 4",

@@ -30,7 +30,7 @@ from mlmmsb import (
     top_k_eigen,
 )
 from mlmmsb import estimators
-from mlmmsb.aggregate import DENSE_EIG_LIMIT
+from mlmmsb.aggregate import DENSE_EIG_LIMIT, Embedding
 from mlmmsb.errors import EmptyLayerWarning
 from mlmmsb.metrics import HIGHLY_MIXED, HIGHLY_PURE, NEUTRAL
 
@@ -384,6 +384,17 @@ class TestEstimateK:
         with pytest.raises(ModelSelectionError):
             estimate_k(net, "spsum", [2, 3])
 
+    def test_candidates_checked_as_read(self):
+        net = self.planted_two_block(n=60, L=2)
+
+        def upward():
+            for k in itertools.count(2):
+                assert k <= net.n + 1, "read past the first candidate out of range"
+                yield k
+
+        with pytest.raises(ModelSelectionError, match=r"^candidates must lie in \[1, 60\]$"):
+            estimate_k(net, "spsum", upward())
+
     def test_aggregate_built_once(self, monkeypatch):
         pi = generate_membership(120, 3, 30, seed=4)
         conn = generate_connectivity(3, 6, seed=5, rho=0.4)
@@ -450,10 +461,10 @@ class TestEstimateK:
         net = self.planted_two_block(n=n, L=2, rho=0.05, seed=1)
         agg = estimators.build_aggregate(net, "spsum")
         shared = top_k_eigen(agg, 4)
-        exact = {
-            k: q_fmean(net, estimators.estimate_from_embedding(shared.leading(k), "spsum").pi_hat)
-            for k in (2, 3, 4)
-        }
+        exact = {}
+        for k in (2, 3, 4):
+            first = Embedding(shared.vectors[:, :k].copy(), shared.eigenvalues[:k].copy())
+            exact[k] = q_fmean(net, estimators.estimate_from_embedding(first, "spsum").pi_hat)
         per_k = {k: q_fmean(net, estimators.estimate(agg, k, "spsum").pi_hat) for k in (2, 3, 4)}
         eigsh = scipy.sparse.linalg.eigsh
         calls = []
