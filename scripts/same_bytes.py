@@ -6,8 +6,9 @@
 Runs ``python -m mlmmsb`` with SRC (default: this checkout's ``src/``) on
 PYTHONPATH and writes into OUT_DIR:
 
-- ``simulate`` output: a dense input (n=600, L=20) and a Lanczos input
-  (n=2100 > 2048, L=4);
+- ``simulate`` output: a dense input (n=600, L=20), a Lanczos input
+  (n=2100 > 2048, L=4) and an input of n=257, one row past the sampler's
+  second 128-row slab;
 - ``estimate`` membership and node CSVs: all three methods on the dense
   and on the Lanczos input, the self-loop, duplicate-line, weighted and
   zero/negative-weight files, which the script derives from the dense
@@ -73,6 +74,8 @@ SIMULATIONS = [
                         "--n0", "100", "--seed", "1", "--out", "dense.edges"]),
     ("simulate-lanczos", ["simulate", "--n", "2100", "--k", "3", "--layers", "4",
                           "--n0", "300", "--seed", "2", "--out", "lanczos.edges"]),
+    ("simulate-slab-edge", ["simulate", "--n", "257", "--k", "3", "--layers", "6",
+                            "--n0", "40", "--seed", "3", "--out", "slab-edge.edges"]),
 ]
 
 ESTIMATES = [

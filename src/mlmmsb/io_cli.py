@@ -208,8 +208,11 @@ def read_multiplex_edges(
     weighted = not (binarize and (weight > 0).all())
     layer_index = np.searchsorted(layer_ids, layer)
     i, j = np.searchsorted(node_ids, u), np.searchsorted(node_ids, v)
-    # the columns are views of loadtxt's records; dropping them (and the
-    # weights, below) frees the records before the stack is allocated
+    # the columns are views of loadtxt's records; dropping them frees the
+    # records before the stack is allocated. The weights are copied out of
+    # them when kept, and dropped below when not
+    if weighted:
+        weight = np.ascontiguousarray(weight)
     del layer, u, v
     # each record names the cell (i, j), then (j, i)
     cells = np.empty((i.size, 2), dtype=np.int64)
@@ -251,16 +254,24 @@ def read_multiplex_edges(
 def write_multiplex_edges(data: MultiplexData, path) -> None:
     """Write layers back as an edge list (upper triangle, 1-based layer ids)."""
     net = data.network
-    layer, i, j = np.nonzero(net.layers)
-    upper = i <= j  # keeps the row-major order of each layer's upper triangle
-    layer, i, j = layer[upper], i[upper], j[upper]
-    names = np.array([f"{u}" for u in data.node_ids], dtype=object)
-    layer_names = np.array([f"{k}" for k in range(1, net.L + 1)], dtype=object)
-    fields = [layer_names[layer], names[i], names[j]]
+    n = net.n
+    cell = np.flatnonzero(net.layers.view(bool) if net.binary else net.layers)
+    row, j = np.divmod(cell, n)  # row = layer * n + i
+    upper = row % n <= j  # keeps the row-major order of each layer's upper triangle
+    row, j = row[upper], j[upper]
+    names = [f"{u}" for u in data.node_ids]
+    tails = np.array(names, dtype=object)[j].tolist()
     if not net.binary:
-        fields.append(map("{:.10g}".format, net.layers[layer, i, j].tolist()))
-    lines = list(map(" ".join, zip(*fields)))
-    _atomic_write(path, "\n".join(lines) + ("\n" if lines else ""))
+        weights = map("{:.10g}".format, net.layers.reshape(-1)[cell[upper]].tolist())
+        tails = list(map(" ".join, zip(tails, weights)))
+    # one "layer u " prefix per run of a row's edges, joined over its neighbours
+    starts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
+    chunks = []
+    for start, stop in zip(starts, starts[1:] + [len(tails)]):
+        layer, i = divmod(int(row[start]), n)
+        prefix = f"{layer + 1} {names[i]} "
+        chunks.append(prefix + ("\n" + prefix).join(tails[start:stop]))
+    _atomic_write(path, "\n".join(chunks) + ("\n" if chunks else ""))
 
 
 def write_node_map(data: MultiplexData, path) -> None:

@@ -176,18 +176,40 @@ def _check_k(pi: MembershipMatrix, conn: ConnectivityStack) -> None:
         )
 
 
-def _layer_expectation(pi: MembershipMatrix, b: np.ndarray, rho: float) -> np.ndarray:
-    """rho * Pi @ B_l @ Pi.T for one layer, symmetrised exactly against round-off."""
-    w = rho * (pi.rows @ b @ pi.rows.T)
-    return 0.5 * (w + w.T)
+# rows per slab when a layer's W is symmetrised and drawn, so that each
+# temporary is 128 x n float64 rather than n x n
+_SLAB_ROWS = 128
+
+
+def _layer_weights(pi: MembershipMatrix, b: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
+    """W = rho * Pi @ B_l @ Pi.T for one layer, written into ``out``."""
+    np.matmul(pi.rows @ b, pi.rows.T, out=out)
+    out *= rho
+    return out
+
+
+def _upper_slabs(w: np.ndarray):
+    """Yield (r0, s) with s = 0.5 * (W + W.T)[r0:r1, r0:] for row slabs of W.
+
+    A slab reads only rows and columns from r0 on, so a caller may write
+    rows r0:r1 and columns r0:r1 of ``w`` itself once it holds the slab.
+    """
+    n = w.shape[0]
+    for r0 in range(0, n, _SLAB_ROWS):
+        r1 = min(r0 + _SLAB_ROWS, n)
+        yield r0, 0.5 * (w[r0:r1, r0:] + w[r0:, r0:r1].T)
 
 
 def expected_adjacency(pi: MembershipMatrix, conn: ConnectivityStack) -> ExpectationStack:
-    """Edge-probability stack with layer l equal to rho * Pi @ B_l @ Pi.T."""
+    """Edge-probability stack with layer l equal to rho * Pi @ B_l @ Pi.T,
+    symmetrised exactly against round-off as 0.5 * (W + W.T)."""
     _check_k(pi, conn)
     omega = np.empty((conn.L, pi.n, pi.n))
-    for l, b in enumerate(conn.matrices):
-        omega[l] = _layer_expectation(pi, b, conn.rho)
+    for omega_l, b in zip(omega, conn.matrices):
+        for r0, s in _upper_slabs(_layer_weights(pi, b, conn.rho, omega_l)):
+            r1 = r0 + len(s)
+            omega_l[r0:r1, r0:] = s
+            omega_l[r0:, r0:r1] = s.T
     return ExpectationStack(layers=omega, rho=conn.rho)
 
 
@@ -207,8 +229,15 @@ def sample_mlmmsb(
     Upper-triangular entries (including the diagonal unless self-loops are
     disabled) are drawn independently in row-major order and mirrored.
     Deterministic given ``seed``; layer l uses its own derived stream so
-    layers are independent. Edge probabilities are computed one layer at a
-    time; the (L, n, n) expectation stack is never held.
+    layers are independent.
+
+    Edge probabilities are computed one layer at a time, into one n x n
+    float64 buffer W reused across layers, and symmetrised and drawn in
+    slabs of 128 rows, so the (L, n, n) expectation stack is never held.
+    Besides the ``uint8`` stack it returns, the sampler holds W, a 128 x n
+    boolean mask and one slab's temporaries, at most two 128 x n float64
+    arrays at once: 11.6 MiB in all at n=1000, L=2, where the stack is
+    1.9 MiB.
     """
     check_node_count(pi.n, pi.K)
     _check_k(pi, conn)
@@ -221,13 +250,17 @@ def sample_mlmmsb(
             "spectral recovery may be unreliable",
             DegeneracyWarning,
         )
-    # a boolean mask selects in the same row-major order as triu_indices
-    upper = np.triu(np.ones((n, n), dtype=bool), k=0 if allow_self_loops else 1)
-    size = int(np.count_nonzero(upper))
+    # a boolean mask selects in the same row-major order as triu_indices;
+    # the upper-triangle cells of the slab from r0 are mask[:r1 - r0, :n - r0]
+    mask = np.triu(np.ones((min(_SLAB_ROWS, n), n), dtype=bool), k=0 if allow_self_loops else 1)
     layers = np.zeros((L, n, n), dtype=np.uint8)
+    w = np.empty((n, n))
     for l, (layer, b) in enumerate(zip(layers, conn.matrices)):
-        p = _layer_expectation(pi, b, conn.rho)
-        layer[upper] = _layer_seed(seed, l).random(size) < p[upper]
+        rng = _layer_seed(seed, l)
+        for r0, p in _upper_slabs(_layer_weights(pi, b, conn.rho, w)):
+            cells = mask[: len(p), : n - r0]
+            p = p[cells]
+            layer[r0 : r0 + len(cells), r0:][cells] = rng.random(p.size) < p
         np.maximum(layer, layer.T, out=layer)
     return MultiLayerNetwork(layers=layers)
 

@@ -138,6 +138,11 @@ class TestEdgeListParsing:
             # weight of each kept (i, j) and (j, i) entry left, 32 bytes a
             # record, where holding everything took 123 bytes a record
             (1000, 2, 100_000, True, 40),
+            # a stack small enough that the phase before it sets the peak:
+            # the weights are copied out of the records, so the records go
+            # with the id columns; keeping them until the repeat took 43
+            # bytes a record above the stack, the copy 35
+            (500, 2, 100_000, True, 39),
         ],
     )
     def test_records_freed_before_the_stack(self, tmp_path, n, L, records, weighted, allowance):

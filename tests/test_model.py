@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from mlmmsb import (
     generate_membership,
     sample_mlmmsb,
 )
+from mlmmsb.model import _SLAB_ROWS
 
 
 def stack(mats, rho=1.0):
@@ -188,10 +191,13 @@ def einsum_sample(pi, conn, seed, allow_self_loops):
     return layers
 
 
+# sizes on both sides of the sampler's 128-row slabs, with every K <= n
+SLAB_SIZES = [(n, K) for n in (2, 61, 127, 128, 129, 257) for K in (2, 3, 5) if K <= n]
+
+
 class TestAgainstEinsum:
-    @pytest.mark.parametrize("K", [2, 3, 5])
     @pytest.mark.parametrize("allow_self_loops", [True, False])
-    @pytest.mark.parametrize("n", [61, 127])
+    @pytest.mark.parametrize("n, K", SLAB_SIZES)
     def test_sampler_matches_reference(self, K, allow_self_loops, n):
         pi = generate_membership(n, K, n // (2 * K), seed=n + K)
         conn = generate_connectivity(K, 6, seed=K, rho=0.4)
@@ -206,6 +212,15 @@ class TestAgainstEinsum:
         omega = expected_adjacency(pi, conn).layers
         assert np.array_equal(omega, omega.transpose(0, 2, 1))
         assert np.max(np.abs(omega - einsum_expectation(pi, conn))) <= 1e-15
+
+    @pytest.mark.parametrize("n, K", SLAB_SIZES)
+    def test_expectation_equals_whole_matrix_symmetrisation(self, n, K):
+        pi = generate_membership(n, K, n // (2 * K), seed=n)
+        conn = generate_connectivity(K, 3, seed=K, rho=0.6)
+        omega = expected_adjacency(pi, conn).layers
+        for layer, b in zip(omega, conn.matrices):
+            w = conn.rho * (pi.rows @ b @ pi.rows.T)
+            assert layer.tobytes() == (0.5 * (w + w.T)).tobytes()
 
 
 class TestSampler:
@@ -277,6 +292,22 @@ class TestSampler:
         sd = np.sqrt(np.maximum(p * (1 - p), 1e-12) / R)
         ok = np.abs(mean - p) <= 4 * sd
         assert ok.mean() >= 0.95
+
+    def test_memory_is_the_stack_one_matrix_and_slabs(self):
+        # whole-layer probabilities held three n x n float64 arrays at once
+        # (W, W + W.T and its half): a traced peak of 25.8 MiB here, where
+        # slabs take 11.6 MiB
+        n = 1000
+        pi = generate_membership(n, 3, 250, seed=1)
+        conn = generate_connectivity(3, 2, seed=1, rho=0.1)
+        tracemalloc.start()
+        try:
+            layers = sample_mlmmsb(pi, conn, seed=0).layers
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slab = 8 * _SLAB_ROWS * n  # one slab of float64 probabilities
+        assert peak < layers.nbytes + 8 * n * n + 3 * slab
 
 
 class TestGenerators:
