@@ -18,9 +18,10 @@ PYTHONPATH and writes into OUT_DIR:
   on the dense input, and spdsos fmean and spsum fsum on the Lanczos input;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
-- ``experiment --config`` CSVs and SVGs for a small n sweep and a small L
-  sweep whose values include the integral float 8.0, which the script
-  writes as ``sweep-n.cfg`` and ``sweep-L.cfg``;
+- ``experiment --config`` CSVs and SVGs for a small n sweep, a small L
+  sweep whose values include the integral float 8.0, and a small rho sweep
+  that runs SPSoS before SPDSoS, which the script writes as
+  ``sweep-n.cfg``, ``sweep-L.cfg`` and ``sweep-rho.cfg``;
 - ``classify`` stdout for the dense spdsos estimate's membership CSV;
 
 plus each command's stdout, stderr and exit code in ``<name>.out``,
@@ -67,6 +68,9 @@ CONFIGS = {
     # an integral float on an integer axis runs as that integer
     "L": ["sweep=L", "sweep_values=4,8.0", "n=60", "n0=15", "repetitions=2",
           "methods=spdsos, spsum"],
+    # SPSoS takes the shared square first, then SPDSoS zeroes a copy of it
+    "rho": ["sweep=rho", "sweep_values=0.1,0.3", "n=80", "L=6", "n0=20", "repetitions=2",
+            "methods=spsos, spdsos"],
 }
 
 SIMULATIONS = [

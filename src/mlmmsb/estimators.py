@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import (
+    DENSE_EIG_LIMIT,
     AggregateMatrix,
     Embedding,
     build_asum,
@@ -48,37 +49,33 @@ def build_aggregates(
 ) -> Iterator[AggregateMatrix]:
     """Yield the aggregate matrix of each method id in turn.
 
-    When both run, binary layers are squared once for SPDSoS and SPSoS
-    together: the plain sum of squares is the debiased one with the summed
-    degrees put back on its diagonal, which the debiasing leaves exactly
-    zero. A debiased aggregate applied matrix-free has no diagonal to put
-    them on, so SPSoS then gets its own from ``build_sos``, as it does on
-    its own or on weighted layers. Besides the aggregate last yielded, at
-    most the debiased one is kept.
+    When both run on binary layers of at most ``DENSE_EIG_LIMIT`` nodes,
+    SPDSoS and SPSoS share one square: SPSoS gets the formed sum of squares
+    from ``build_sos``, and SPDSoS a copy with its diagonal zeroed, which is
+    what ``build_ssum_debiased`` returns. Otherwise each method calls its own
+    builder. Besides the aggregate last yielded, at most the sum is kept.
     """
     keys = []
     for method in methods:
         if method.upper() not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         keys.append(method.upper())
-    shared = net.binary and SPDSOS in keys
-    debiased = None
+    shared = net.binary and net.n <= DENSE_EIG_LIMIT and {SPDSOS, SPSOS} <= set(keys)
+    sos = None
     for key in keys:
         if key == SPSUM:
             yield build_asum(net)
-        elif key == SPSOS and not shared:
-            yield build_sos(net)
+        elif not shared:
+            yield build_ssum_debiased(net) if key == SPDSOS else build_sos(net)
         else:
-            if debiased is None:
-                debiased = build_ssum_debiased(net)
-            if key == SPDSOS:
-                yield debiased
-            elif isinstance(debiased.matrix, np.ndarray):
-                sos = debiased.matrix.copy()
-                sos[np.diag_indices_from(sos)] += net.layers.sum(axis=(0, 2), dtype=float)
-                yield AggregateMatrix(matrix=sos)
+            if sos is None:
+                sos = build_sos(net)
+            if key == SPSOS:
+                yield sos
             else:
-                yield build_sos(net)
+                debiased = sos.matrix.copy()
+                np.fill_diagonal(debiased, 0.0)
+                yield AggregateMatrix(matrix=debiased)
 
 
 def build_aggregate(net: MultiLayerNetwork, method: str) -> AggregateMatrix:

@@ -67,9 +67,13 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be at least 1")
         methods = tuple(m.upper() for m in self.methods)
         object.__setattr__(self, "methods", methods)
-        for m in methods:
+        if not methods:
+            raise ConfigError("methods must be nonempty")
+        for i, m in enumerate(methods):
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
+            if m in methods[:i]:
+                raise ConfigError(f"method {m!r} is listed twice")
         # every cell's parameters, checked by the model's own rules before
         # any output is made
         for value in values:
@@ -215,6 +219,8 @@ def rate_slope_check(result: ExperimentResult, axis: str, method: str) -> float:
     x = np.array([float(v) for v in result.config.sweep_values])
     if x.size < 4:
         raise ConfigError("need at least 4 sweep points for a slope fit")
+    if np.any(x <= 0):
+        raise UnusableDataError("sweep values must be positive for a log-log fit")
     y = result.curve(method.upper(), "hamming")
     if np.any(y <= 0):
         raise UnusableDataError("mean errors must be positive for a log-log fit")

@@ -229,3 +229,19 @@ def test_criterion_9_lazega_reproduction():
            f"(K={selection.best_k}, Q={selection.best_score:.4f}, "
            f"mixed={cls.sigma_mixed:.4f}, pure={cls.sigma_pure:.4f}, "
            f"upsilon={cls.upsilon:.4f})")
+
+
+# The narrowest point of exp4-scaled is n0 = 20. There, over base seeds 0-10
+# and 2026, SPSum's mean Hamming error (0.768-0.789) exceeded SPDSoS's by
+# 0.053-0.132 and SPSoS's by 0.048-0.153; every other point had gaps above
+# 0.3. The margin is half the smallest gap.
+RANKING_MARGIN = 0.024
+
+
+def test_squared_methods_beat_spsum_on_exp4_scaled():
+    result = run_experiment(preset("exp4-scaled", base_seed=2026))
+    for v in result.config.sweep_values:
+        spsum_error = result.mean("SPSUM", v)
+        for method in ("SPDSOS", "SPSOS"):
+            gap = spsum_error - result.mean(method, v)
+            assert gap >= RANKING_MARGIN, f"n0={v}: SPSUM - {method} = {gap:.3f}"

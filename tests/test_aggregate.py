@@ -265,8 +265,8 @@ class TestSquaresOperator:
         assert_applies(build_sos(weighted), float64_square_sum(weighted.layers))
 
     def test_build_aggregates_gives_each_method_its_operator(self, above):
-        # the debiased operator has no diagonal to put the degrees back on,
-        # so SPSoS gets its own from build_sos
+        # above DENSE_EIG_LIMIT nothing is formed to share, so each method
+        # gets its own operator
         net, square = above
         aggs = list(build_aggregates(net, ("spdsos", "spsos")))
         assert len(aggs) == 2

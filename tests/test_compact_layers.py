@@ -6,12 +6,15 @@ product taken in ``uint8`` anywhere gives another answer than the reference,
 which computes each formula on a float64 copy of the same layers.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mlmmsb import (
     MembershipMatrix,
     MultiLayerNetwork,
+    UnsupportedInputError,
     build_asum,
     build_sos,
     build_ssum_debiased,
@@ -81,16 +84,35 @@ def test_sums_over_many_layers():
     assert q_fsum(net, MembershipMatrix(rows=rows)) == modularity(asum, rows)
 
 
-def test_squared_builders(net):
+SQUARED_ORDERS = [
+    *itertools.permutations(("spdsos", "spsos", "spsum")),
+    ("spsos", "spdsos"),
+]
+BUILDERS = {"spdsos": build_ssum_debiased, "spsos": build_sos, "spsum": build_asum}
+
+
+@pytest.mark.parametrize("order", SQUARED_ORDERS, ids="-".join)
+def test_squared_builders(net, order):
     layers = float_layers(net)
     sos = square_sum(layers)
     debiased = sos - np.diag(layers.sum(axis=(0, 2)))
     assert np.array_equal(build_sos(net).matrix, sos)
     assert np.array_equal(build_ssum_debiased(net).matrix, debiased)
-    built = [agg.matrix for agg in build_aggregates(net, ("spdsos", "spsos", "spsum"))]
-    assert np.array_equal(built[0], debiased)
-    assert np.array_equal(built[1], sos)
-    assert np.array_equal(built[2], layers.sum(axis=0))
+    want = {"spdsos": debiased, "spsos": sos, "spsum": layers.sum(axis=0)}
+    built = [agg.matrix for agg in build_aggregates(net, order)]
+    assert len(built) == len(order)
+    for method, matrix in zip(order, built):
+        assert np.array_equal(matrix, want[method]), method
+        assert matrix.tobytes() == BUILDERS[method](net).matrix.tobytes(), method
+
+
+def test_weighted_squares_stop_at_spdsos(net):
+    weighted = MultiLayerNetwork(layers=net.layers * 1.5)
+    aggregates = build_aggregates(weighted, ("spsos", "spdsos"))
+    first = next(aggregates).matrix
+    assert first.tobytes() == build_sos(weighted).matrix.tobytes()
+    with pytest.raises(UnsupportedInputError):
+        next(aggregates)
 
 
 def test_modularity(net):

@@ -16,7 +16,7 @@ from mlmmsb import (
     run_experiment,
     sample_mlmmsb,
 )
-from mlmmsb import MultiLayerNetwork, build_sos, estimators, experiments
+from mlmmsb import MultiLayerNetwork, build_sos, build_ssum_debiased, estimators, experiments
 from mlmmsb.errors import DimensionError
 from mlmmsb.experiments import ExperimentResult, MethodCell
 
@@ -52,6 +52,19 @@ class TestConfig:
     def test_rejects_unknown_method(self):
         with pytest.raises(ConfigError):
             tiny_config(methods=("kmeans",))
+
+    def test_rejects_empty_methods(self):
+        with pytest.raises(ConfigError, match="methods must be nonempty"):
+            tiny_config(methods=())
+
+    @pytest.mark.parametrize(
+        "methods", [("spsum", "SPSUM"), ("SPDSOS", "spsos", "spsum", "spsos")]
+    )
+    def test_rejects_repeated_method(self, methods):
+        # each row of the results would be written twice
+        repeated = methods[-1].upper()
+        with pytest.raises(ConfigError, match=f"method '{repeated}' is listed twice"):
+            tiny_config(methods=methods)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -122,35 +135,41 @@ class TestRunExperiment:
             assert mean == pytest.approx(cell.hamming.mean(), abs=1e-12)
 
     def test_each_network_squared_once(self, monkeypatch):
-        sample, build_debiased, run = (
-            experiments.sample_mlmmsb, estimators.build_ssum_debiased, experiments.estimate
+        sample, square, run = (
+            experiments.sample_mlmmsb, estimators.build_sos, experiments.estimate
         )
-        nets, debiased_calls, sos_calls, sos_aggregates = [], [], [], []
+        nets, sos_calls, debiased_calls = [], [], []
+        aggregates = {"SPDSOS": [], "SPSOS": []}
 
         def sampling(*args, **kwargs):
             nets.append(sample(*args, **kwargs))
             return nets[-1]
 
-        def debiasing(net):
-            debiased_calls.append(net)
-            return build_debiased(net)
+        def squaring(net):
+            sos_calls.append(net)
+            return square(net)
 
         def estimating(agg, K, method):
-            if method == "SPSOS":
-                sos_aggregates.append(agg)
+            if method in aggregates:
+                aggregates[method].append(agg)
             return run(agg, K, method)
 
         monkeypatch.setattr(experiments, "sample_mlmmsb", sampling)
-        monkeypatch.setattr(estimators, "build_ssum_debiased", debiasing)
-        monkeypatch.setattr(estimators, "build_sos", lambda net: sos_calls.append(net))
+        monkeypatch.setattr(estimators, "build_sos", squaring)
+        monkeypatch.setattr(
+            estimators, "build_ssum_debiased", lambda net: debiased_calls.append(net)
+        )
         monkeypatch.setattr(experiments, "estimate", estimating)
         run_experiment(tiny_config(methods=("SPSUM", "SPDSOS", "SPSOS")))
         monkeypatch.undo()
         assert len(nets) == 4
-        assert [id(net) for net in debiased_calls] == [id(net) for net in nets]
-        assert sos_calls == []
-        for net, agg in zip(nets, sos_aggregates, strict=True):
-            assert np.array_equal(agg.matrix, build_sos(net).matrix)
+        assert [id(net) for net in sos_calls] == [id(net) for net in nets]
+        assert debiased_calls == []
+        for net, debiased, sos in zip(
+            nets, aggregates["SPDSOS"], aggregates["SPSOS"], strict=True
+        ):
+            assert np.array_equal(debiased.matrix, build_ssum_debiased(net).matrix)
+            assert np.array_equal(sos.matrix, build_sos(net).matrix)
 
     def test_error_decreases_with_density(self):
         cfg = tiny_config(
@@ -261,6 +280,12 @@ class TestRateSlope:
         result = synthetic_result("L", [8, 16, 32, 64], [0.3, 0.2, 0.0, 0.1])
         with pytest.raises(UnusableDataError):
             rate_slope_check(result, "L", "SPDSOS")
+
+    def test_rejects_nonpositive_axis_values(self):
+        # an n0 sweep may start at 0, which has no logarithm
+        result = synthetic_result("n0", [0, 5, 10, 15], [0.4, 0.3, 0.2, 0.1])
+        with pytest.raises(UnusableDataError, match="sweep values must be positive"):
+            rate_slope_check(result, "n0", "SPDSOS")
 
     def test_needs_four_points(self):
         result = synthetic_result("L", [8, 16, 32], [0.3, 0.2, 0.1])

@@ -1067,6 +1067,7 @@ class TestCliInputErrors:
                 "sweep=n\nsweep_values=60,90\nn0=10",
                 "config key 'n0' has no effect under sweep=n: each point takes n0 = n // 4",
             ),
+            ("sweep=L\nsweep_values=4\nn0=8\nmethods=spsum, SPSUM", "method 'SPSUM' is listed twice"),
         ],
     )
     def test_experiment_config_bad_point_exit_2_before_out_dir(
