@@ -12,10 +12,13 @@ PYTHONPATH and writes into OUT_DIR:
 - ``estimate`` membership and node CSVs: all three methods on the dense
   and on the Lanczos input, the self-loop, duplicate-line, weighted and
   zero/negative-weight files, which the script derives from the dense
-  input, and spsos on a weighted file derived from the Lanczos input in
-  the same way;
+  input, spsos on a weighted file derived from the Lanczos input in
+  the same way, and spdsos on two renumberings of the Lanczos input: one
+  with node ids 1000..3099 (contiguous, mapped by offset) and one with node
+  ids 3v + 10**12 and layer ids l * 10**9 (gapped, mapped by search);
 - ``select-k`` stdout for spdsos fmean, spsos fsum and weighted spsum fmean
-  on the dense input, and spdsos fmean and spsum fsum on the Lanczos input;
+  on the dense input, spdsos fmean and spsum fsum on the Lanczos input,
+  spdsos fsum on its offset renumbering and spsum fsum on its gapped one;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
 - ``experiment --config`` CSVs and SVGs for a small n sweep, a small L
@@ -49,6 +52,13 @@ def edges_of(lines):
 def weighted(lines):
     """Every edge of an edge list with a weight in 0.25..3, as a list of lines."""
     return [f"{' '.join(e)} {(i * 37 % 11 + 1) / 4:g}" for i, e in enumerate(edges_of(lines))]
+
+
+def renumbered(lines, layer_of, node_of):
+    """The edges of an edge list with layer l written as layer_of(l) and node
+    v as node_of(v), as a list of lines."""
+    return [f"{layer_of(int(l))} {node_of(int(u))} {node_of(int(v))}"
+            for l, u, v in edges_of(lines)]
 
 
 def derived_inputs(dense_lines):
@@ -90,6 +100,8 @@ ESTIMATES = [
     ("lanczos", "spsos", []),
     ("lanczos", "spsum", []),
     ("weighted-lanczos", "spsos", ["--keep-weights"]),
+    ("offset-lanczos", "spdsos", []),
+    ("gapped-lanczos", "spdsos", []),
     ("loops", "spsos", ["--keep-self-loops"]),
     ("loops", "spdsos", []),
     ("weighted", "spsum", ["--keep-weights", "--keep-self-loops"]),
@@ -105,6 +117,8 @@ SELECTIONS = [
     ("weighted", "spsum", "fmean", ["--keep-weights"]),
     ("lanczos", "spdsos", "fmean", []),
     ("lanczos", "spsum", "fsum", []),
+    ("offset-lanczos", "spdsos", "fsum", []),
+    ("gapped-lanczos", "spsum", "fsum", []),
 ]
 
 
@@ -157,7 +171,12 @@ def main() -> int:
     with open("dense.edges") as handle:
         inputs = derived_inputs(handle.readlines())
     with open("lanczos.edges") as handle:
-        inputs["weighted-lanczos.edges"] = weighted(handle.readlines())
+        lanczos_lines = handle.readlines()
+    inputs["weighted-lanczos.edges"] = weighted(lanczos_lines)
+    inputs["offset-lanczos.edges"] = renumbered(lanczos_lines, int, lambda v: v + 999)
+    inputs["gapped-lanczos.edges"] = renumbered(
+        lanczos_lines, lambda l: l * 10**9, lambda v: 3 * v + 10**12
+    )
     for axis, lines in CONFIGS.items():
         inputs[f"sweep-{axis}.cfg"] = lines
     for path, lines in inputs.items():

@@ -134,6 +134,26 @@ def _scan_edges(handle):
     return ids + (np.array(columns[3], dtype=float),)
 
 
+# np.loadtxt opens a path with these suffixes through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _loadtxt_source(handle):
+    """What ``np.loadtxt`` reads for ``handle``: the absolute path of the file
+    it has open, or the handle itself when it has no such name (an in-memory
+    copy, a file opened by descriptor) or numpy would decompress the path.
+
+    numpy reads a path in blocks through its C tokenizer, but walks any
+    other object line by line in Python: on a 427k-line edge list (2 cores)
+    the parse took 54-56 ms from the path against 94-95 ms from the handle.
+    The path is absolute so that numpy never reads it as a URL.
+    """
+    name = getattr(handle, "name", None)
+    if isinstance(name, str) and not name.endswith(_COMPRESSED):
+        return os.path.abspath(name)
+    return handle
+
+
 def _read_columns(handle):
     """(layer, u, v, weight) columns of an edge list.
 
@@ -151,7 +171,10 @@ def _read_columns(handle):
     if width in (3, 4):
         try:
             rows = np.loadtxt(
-                handle, dtype="i8,i8,i8" + ",f8" * (width - 3), comments="#", ndmin=1
+                _loadtxt_source(handle),
+                dtype="i8,i8,i8" + ",f8" * (width - 3),
+                comments="#",
+                ndmin=1,
             )
         except ValueError:
             pass
@@ -174,6 +197,20 @@ def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
     """
     ids.sort()
     return ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+
+
+def _index_in(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index of each of ``values`` in the sorted distinct ``ids``, as
+    ``np.searchsorted(ids, values)``.
+
+    Contiguous ids, as ``simulate`` and the usual dataset releases number
+    their nodes, map by subtracting the first: for the two node columns of
+    a 427k-line edge list that took 1.3 ms against 28 ms for the search.
+    Ids lie in [1, 2**63 - 1], so no difference overflows.
+    """
+    if ids[-1] - ids[0] == ids.size - 1:
+        return values - ids[0]
+    return np.searchsorted(ids, values)
 
 
 def read_multiplex_edges(
@@ -206,8 +243,8 @@ def read_multiplex_edges(
     shape = (layer_ids.size, n, n)
     # a sum of positive weights is positive: every named cell is an edge
     weighted = not (binarize and (weight > 0).all())
-    layer_index = np.searchsorted(layer_ids, layer)
-    i, j = np.searchsorted(node_ids, u), np.searchsorted(node_ids, v)
+    layer_index = _index_in(layer_ids, layer)
+    i, j = _index_in(node_ids, u), _index_in(node_ids, v)
     # the columns are views of loadtxt's records; dropping them frees the
     # records before the stack is allocated. The weights are copied out of
     # them when kept, and dropped below when not

@@ -17,7 +17,7 @@ from .errors import (
     UnusableDataError,
 )
 from .aggregate import Embedding, build_asum, top_k_eigen
-from .estimators import build_aggregate, estimate_from_embedding
+from .estimators import SPSUM, build_aggregate, estimate_from_embedding
 from .model import MembershipMatrix, MultiLayerNetwork
 
 HIGHLY_MIXED = "HIGHLY_MIXED"
@@ -103,14 +103,19 @@ def _fuzzy_modularity(adj: np.ndarray, rows: np.ndarray) -> float | None:
     return (math.ldexp(float(np.vdot(p, rows)), -e) - float(pd @ pd) / m) / m
 
 
+def _summed_modularity(asum: np.ndarray, pi_hat: MembershipMatrix) -> float:
+    """``q_fsum`` given the summed adjacency matrix ``asum``."""
+    q = _fuzzy_modularity(asum, pi_hat.rows)
+    if q is None:
+        raise EmptyNetworkError("network has no edges")
+    return q
+
+
 def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Fuzzy modularity of the summed adjacency matrix under soft memberships."""
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    q = _fuzzy_modularity(build_asum(net).matrix, pi_hat.rows)
-    if q is None:
-        raise EmptyNetworkError("network has no edges")
-    return q
+    return _summed_modularity(build_asum(net).matrix, pi_hat)
 
 
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
@@ -199,6 +204,10 @@ def estimate_k(
     are read, so a range past n stops at its first candidate out of bounds.
     A failed build raises, a failed decomposition fails every K, and a K
     where the estimator fails is skipped and recorded.
+
+    ``fsum`` scores every K as ``q_fsum`` does, against one sum of the
+    layers: SPSum's aggregate, or else a ``build_asum`` made for the first
+    K that is scored.
     """
     k_values = set()
     for k in map(int, k_range):
@@ -211,8 +220,8 @@ def estimate_k(
     crit = criterion.upper()
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
-    score_fn = q_fsum if crit == FSUM else q_fmean
     agg = build_aggregate(net, method)
+    asum = agg.matrix if method.upper() == SPSUM else None
     try:
         shared = top_k_eigen(agg, k_values[-1], _tie_note=False)
     except Exception as exc:  # noqa: BLE001 - every candidate fails with it
@@ -224,7 +233,12 @@ def estimate_k(
         try:
             leading = Embedding(shared.vectors[:, :k].copy(), shared.eigenvalues[:k].copy())
             result = estimate_from_embedding(leading, method)
-            scores[k] = score_fn(net, result.pi_hat)
+            if crit == FMEAN:
+                scores[k] = q_fmean(net, result.pi_hat)
+            else:
+                if asum is None:
+                    asum = build_asum(net).matrix
+                scores[k] = _summed_modularity(asum, result.pi_hat)
         except Exception as exc:  # noqa: BLE001 - record and move on
             failures[k] = f"{type(exc).__name__}: {exc}"
     if not scores:

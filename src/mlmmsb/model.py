@@ -102,6 +102,32 @@ class ConnectivityStack:
         return self.matrices.shape[0]
 
 
+# rows per slab when a layer is checked for symmetry, or its W symmetrised
+# and drawn, so that each temporary is 128 x n rather than n x n
+_SLAB_ROWS = 128
+
+
+def _row_slabs(a: np.ndarray):
+    """Yield (r0, a[r0:r1, r0:], a[r0:, r0:r1].T) for the 128-row slabs of a
+    square array: each slab's rows from the diagonal on, and the columns
+    that mirror them. Together the slabs cover every cell on and above the
+    diagonal once.
+
+    Later slabs read only rows and columns from r1 on, so a caller may
+    write rows r0:r1 and columns r0:r1 of ``a`` once it has read a slab.
+    """
+    n = a.shape[0]
+    for r0 in range(0, n, _SLAB_ROWS):
+        r1 = min(r0 + _SLAB_ROWS, n)
+        yield r0, a[r0:r1, r0:], a[r0:, r0:r1].T
+
+
+def _is_symmetric(a: np.ndarray) -> bool:
+    """``np.array_equal(a, a.T)`` slab by slab, which compares each pair of
+    mirrored cells once where the whole comparison reads all n x n twice."""
+    return all(np.array_equal(rows, mirror) for _, rows, mirror in _row_slabs(a))
+
+
 @dataclass(frozen=True)
 class MultiLayerNetwork:
     """L symmetric n x n adjacency matrices sharing one node set.
@@ -131,7 +157,7 @@ class MultiLayerNetwork:
         for a in layers:
             if not compact and not np.isfinite(a).all():
                 raise ConfigError("adjacency entries must be finite")
-            if not np.array_equal(a, a.T):
+            if not _is_symmetric(a):
                 raise ConfigError("every layer must be symmetric")
             if not compact:
                 if (a < 0).any():
@@ -176,11 +202,6 @@ def _check_k(pi: MembershipMatrix, conn: ConnectivityStack) -> None:
         )
 
 
-# rows per slab when a layer's W is symmetrised and drawn, so that each
-# temporary is 128 x n float64 rather than n x n
-_SLAB_ROWS = 128
-
-
 def _layer_weights(pi: MembershipMatrix, b: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
     """W = rho * Pi @ B_l @ Pi.T for one layer, written into ``out``."""
     np.matmul(pi.rows @ b, pi.rows.T, out=out)
@@ -194,10 +215,8 @@ def _upper_slabs(w: np.ndarray):
     A slab reads only rows and columns from r0 on, so a caller may write
     rows r0:r1 and columns r0:r1 of ``w`` itself once it holds the slab.
     """
-    n = w.shape[0]
-    for r0 in range(0, n, _SLAB_ROWS):
-        r1 = min(r0 + _SLAB_ROWS, n)
-        yield r0, 0.5 * (w[r0:r1, r0:] + w[r0:, r0:r1].T)
+    for r0, rows, mirror in _row_slabs(w):
+        yield r0, 0.5 * (rows + mirror)
 
 
 def expected_adjacency(pi: MembershipMatrix, conn: ConnectivityStack) -> ExpectationStack:

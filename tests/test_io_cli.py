@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import subprocess
@@ -503,6 +504,106 @@ class TestAgainstLineLoop:
         for a, b in zip(fast, slow):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+
+def renumbered_edge_file(path, node_of, layer_of, width=4, seed=0):
+    """300 edge lines on 40 nodes and 3 layers, with self-loops, duplicates
+    and weights, whose node v and layer l are written as ``node_of(v)`` and
+    ``layer_of(l)``."""
+    rng = np.random.default_rng(seed)
+    layer = rng.integers(0, 3, 300)
+    u, v = rng.integers(0, 40, (2, 300))
+    weights = rng.uniform(-0.5, 2.0, 300)
+    lines = [
+        f"{layer_of(l)} {node_of(a)} {node_of(b)}" + (f" {w!r}" if width == 4 else "")
+        for l, a, b, w in zip(layer.tolist(), u.tolist(), v.tolist(), weights.tolist())
+    ]
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestIdMapping:
+    """Contiguous ids map by offset and any other ids by search; both give
+    the line loop's layers."""
+
+    @pytest.mark.parametrize(
+        "node_of",
+        [lambda v: v + 1, lambda v: v + 1000, lambda v: 3 * v + 10**12,
+         lambda v: (1, 2**63 - 1)[v % 2]],
+        ids=["one-based", "offset", "gapped", "extremes"],
+    )
+    @pytest.mark.parametrize(
+        "layer_of", [lambda l: l + 1, lambda l: l + 7, lambda l: (3, 10**9, 10**9 + 1)[l]],
+        ids=["one-based", "offset", "gapped"],
+    )
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_matches_line_loop(self, tmp_path, node_of, layer_of, width):
+        path = tmp_path / "net.edges"
+        renumbered_edge_file(path, node_of, layer_of, width)
+        for binarize in (True, False):
+            for drop in (True, False):
+                got = outcome(read_multiplex_edges, path, binarize, drop)
+                want = outcome(line_loop_reader, path, binarize, drop)
+                if isinstance(want, tuple):  # a negative weighted cell
+                    assert got == want
+                    continue
+                assert got.node_ids == want.node_ids
+                assert got.network.layers.dtype == want.network.layers.dtype
+                assert np.array_equal(got.network.layers, want.network.layers)
+
+    def test_index_matches_searchsorted(self):
+        for ids in ([5], [1, 2, 3], [10**12, 10**12 + 1], [1, 3], [1, 2**63 - 1],
+                    [2**63 - 2, 2**63 - 1]):
+            ids = np.array(ids, dtype=np.int64)
+            values = np.repeat(ids, 2)[::-1]
+            got = io_cli._index_in(ids, values)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, np.searchsorted(ids, values))
+
+
+class TestLoadtxtSource:
+    """numpy reads a path in blocks but any other object line by line, so a
+    file on disk must reach np.loadtxt by its path."""
+
+    @pytest.fixture
+    def sources(self, monkeypatch):
+        seen = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            seen.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return seen
+
+    def test_file_is_read_by_path(self, tmp_path, monkeypatch, sources):
+        (tmp_path / "net.edges").write_text("1 1 2\n1 2 3\n")
+        monkeypatch.chdir(tmp_path)
+        data = read_multiplex_edges("net.edges")
+        assert len(sources) == 1 and isinstance(sources[0], str)
+        assert os.path.isabs(sources[0])
+        assert os.path.samefile(sources[0], tmp_path / "net.edges")
+        assert data.node_ids == (1, 2, 3)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_is_read_from_its_copy(self, sources):
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"1 1 2\n1 2 3\n")
+        os.close(write_end)
+        try:
+            data = read_multiplex_edges(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert len(sources) == 1 and isinstance(sources[0], io.StringIO)
+        assert data.node_ids == (1, 2, 3)
+
+    def test_compressed_suffix_is_read_from_the_handle(self, tmp_path, sources):
+        # numpy would decompress a path with this suffix; the file is text
+        path = tmp_path / "net.edges.gz"
+        path.write_text("1 1 2\n1 2 3\n")
+        data = read_multiplex_edges(path)
+        assert len(sources) == 1 and not isinstance(sources[0], str)
+        assert data.node_ids == (1, 2, 3)
 
 
 @st.composite

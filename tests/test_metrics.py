@@ -29,7 +29,7 @@ from mlmmsb import (
     spdsos,
     top_k_eigen,
 )
-from mlmmsb import estimators
+from mlmmsb import estimators, metrics
 from mlmmsb.aggregate import DENSE_EIG_LIMIT, Embedding
 from mlmmsb.errors import EmptyLayerWarning
 from mlmmsb.metrics import HIGHLY_MIXED, HIGHLY_PURE, NEUTRAL
@@ -412,6 +412,33 @@ class TestEstimateK:
         monkeypatch.undo()
         expected = {k: q_fmean(net, spdsos(net, k).pi_hat) for k in range(2, 7)}
         assert selection.scores == expected
+        assert not selection.failures
+
+    @pytest.mark.parametrize("method", ["spsum", "spdsos", "spsos"])
+    def test_fsum_sums_the_layers_once(self, monkeypatch, method):
+        pi = generate_membership(120, 3, 30, seed=4)
+        conn = generate_connectivity(3, 6, seed=5, rho=0.4)
+        net = sample_mlmmsb(pi, conn, seed=6)
+        calls = []
+
+        def counting(build):
+            def build_counted(net):
+                calls.append(net)
+                return build(net)
+
+            return build_counted
+
+        # SPSum's aggregate is built in estimators, the fsum sum in metrics
+        for module in (estimators, metrics):
+            monkeypatch.setattr(module, "build_asum", counting(module.build_asum))
+        selection = estimate_k(net, method, range(2, 7), "fsum")
+        assert len(calls) == 1
+        monkeypatch.undo()
+        agg = estimators.build_aggregate(net, method)
+        expected = {k: q_fsum(net, estimators.estimate(agg, k, method).pi_hat) for k in range(2, 7)}
+        assert {k: q.hex() for k, q in selection.scores.items()} == {
+            k: q.hex() for k, q in expected.items()
+        }
         assert not selection.failures
 
     def test_one_dense_decomposition(self, monkeypatch):

@@ -17,7 +17,7 @@ from mlmmsb import (
     generate_membership,
     sample_mlmmsb,
 )
-from mlmmsb.model import _SLAB_ROWS
+from mlmmsb.model import _SLAB_ROWS, _is_symmetric
 
 
 def stack(mats, rho=1.0):
@@ -140,6 +140,66 @@ class TestLayerDtype:
         pi = generate_membership(30, 3, 6, seed=2)
         net = sample_mlmmsb(pi, generate_connectivity(3, 4, seed=7, rho=0.5), seed=1)
         assert net.layers.dtype == np.uint8
+
+
+def symmetric_layer(n, dtype, seed=0):
+    """A symmetric n x n layer: 0/1 entries as ``uint8``, weights in [0, 1)
+    as float64."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.3 if dtype == np.uint8 else rng.random((n, n)))
+    return (upper + np.triu(upper, k=1).T).astype(dtype)
+
+
+def slab_region_cells(n):
+    """One cell above the diagonal in each slab region that an n-node layer
+    has: the first slab's diagonal block, the first slab's last row just
+    past its block, a block off the diagonal, and the last slab when it is
+    partial and holds more than its diagonal; plus the last row, which only
+    the column reads of earlier slabs reach."""
+    first = min(n, _SLAB_ROWS)
+    last = (n - 1) // _SLAB_ROWS * _SLAB_ROWS  # first row of the last slab
+    cells = []
+    if first > 1:
+        cells.append((0, first - 1))
+    if n > _SLAB_ROWS:
+        cells += [(first - 1, first), (1, n - 1)]
+    if n % _SLAB_ROWS and last < n - 1:
+        cells.append((last, n - 1))
+    if n > 1:
+        cells.append((n - 2, n - 1))
+    return cells
+
+
+class TestSlabSymmetryCheck:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 200, 257])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_one_flip_in_any_region_raises(self, n, dtype):
+        layers = np.stack([symmetric_layer(n, dtype, seed) for seed in range(2)])
+        net = MultiLayerNetwork(layers=layers)
+        assert net.layers.dtype == dtype
+        assert np.array_equal(net.layers, layers)
+        for i, j in slab_region_cells(n):
+            # above the diagonal, then below it, in the second layer only
+            for cell in ((i, j), (j, i)):
+                bad = layers.copy()
+                bad[(1,) + cell] = 1 - bad[(1,) + cell] if dtype == np.uint8 else 2.0
+                with pytest.raises(ConfigError, match="symmetric"):
+                    MultiLayerNetwork(layers=bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.integers(1, 300), st.sampled_from([127, 128, 129, 255, 256, 257])),
+        dtype=st.sampled_from([np.uint8, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+        flips=st.integers(0, 3),
+    )
+    def test_agrees_with_whole_comparison(self, n, dtype, seed, flips):
+        a = symmetric_layer(n, dtype, seed)
+        rng = np.random.default_rng(seed)
+        # a flip may land on the diagonal or undo another: still symmetric
+        for i, j in rng.integers(0, n, (flips, 2)):
+            a[i, j] = 1 - a[i, j] if dtype == np.uint8 else rng.random()
+        assert _is_symmetric(a) == np.array_equal(a, a.T)
 
 
 class TestExpectedAdjacency:
