@@ -10,7 +10,9 @@ PYTHONPATH and writes into OUT_DIR:
   (n=2100 > 2048, L=4) and an input of n=257, one row past the sampler's
   second 128-row slab;
 - ``estimate`` membership and node CSVs: all three methods on the dense
-  and on the Lanczos input, the self-loop, duplicate-line, weighted and
+  and on the Lanczos input, spdsos and spsos at ``--k 5`` on the Lanczos
+  input, where lambda_K lies in the noise bulk and the tie note's deflated
+  solve runs its tol 1e-5 rung, the self-loop, duplicate-line, weighted and
   zero/negative-weight files, which the script derives from the dense
   input, spsos on a weighted file derived from the Lanczos input in
   the same way, and spdsos on two renumberings of the Lanczos input: one
@@ -99,6 +101,8 @@ ESTIMATES = [
     ("lanczos", "spdsos", []),
     ("lanczos", "spsos", []),
     ("lanczos", "spsum", []),
+    ("lanczos", "spdsos", ["--k", "5"]),
+    ("lanczos", "spsos", ["--k", "5"]),
     ("weighted-lanczos", "spsos", ["--keep-weights"]),
     ("offset-lanczos", "spdsos", []),
     ("gapped-lanczos", "spdsos", []),
@@ -126,7 +130,8 @@ def commands():
     """(name, CLI arguments) of every run after the simulations."""
     for data, method, flags in ESTIMATES:
         name = "-".join(["estimate", data, method] + [f.strip("-") for f in flags])
-        yield name, ["estimate", "--data", f"{data}.edges", "--method", method, "--k", "3",
+        k = [] if "--k" in flags else ["--k", "3"]
+        yield name, ["estimate", "--data", f"{data}.edges", "--method", method, *k,
                      "--out-dir", name] + flags
     for data, method, criterion, flags in SELECTIONS:
         yield f"select-k-{data}-{method}-{criterion}", [

@@ -16,6 +16,8 @@ if TYPE_CHECKING:
 DENSE_EIG_LIMIT = 2048
 # float32 holds every integer up to 2**24 exactly
 FLOAT32_EXACT = 2**24
+# CSR layers index their entries with int32 while n * n is below this
+CSR_INT32_BOUND = 2**31
 
 
 @dataclass(frozen=True)
@@ -96,25 +98,33 @@ def _csr_layers(net: MultiLayerNetwork) -> list:
     """The layers as scipy CSR arrays, each from one scan of the layer.
 
     Row i starts at flat index i*n. Indices and row pointers are int32 while
-    n*n < 2**31, which bounds every entry count, and int64 above: scipy keeps
-    the int64 arrays it is handed, at 4 more bytes per stored entry. A
-    binary layer's entries are ones, so they need no gather from the layer.
+    n*n < ``CSR_INT32_BOUND``, which bounds every entry count, and int64
+    above: scipy keeps the int64 arrays it is handed, at 4 more bytes per
+    stored entry. A binary layer's entries are ones, so they need no gather
+    from the layer: every binary layer's ``data`` is a view of one read-only
+    float64 buffer of ones, as long as the layer with the most entries, so
+    binary layers take 4 bytes per stored entry plus that one buffer.
     """
     import scipy.sparse
 
     n = net.n
-    index = np.int32 if n * n < 2**31 else np.int64
+    index = np.int32 if n * n < CSR_INT32_BOUND else np.int64
     starts = np.arange(n + 1) * n
-    layers = []
+    parts = []
     for a in net.layers:
         # a binary layer holds only 0 and 1, and numpy scans bool for
         # nonzeros about twice as fast as uint8
         idx = np.flatnonzero(a.view(bool) if net.binary else a)
-        data = np.ones(idx.size) if net.binary else a.ravel()[idx]
+        data = None if net.binary else a.ravel()[idx]
         indptr = np.searchsorted(idx, starts).astype(index)
         cols = np.remainder(idx, n, out=idx).astype(index)
-        layers.append(scipy.sparse.csr_array((data, cols, indptr), shape=(n, n)))
-    return layers
+        del idx  # else the last layer's scan outlives the loop
+        parts.append((data, cols, indptr))
+    if net.binary:
+        ones = np.ones(max(cols.size for _, cols, _ in parts))
+        ones.flags.writeable = False
+        parts = [(ones[: cols.size], cols, indptr) for _, cols, indptr in parts]
+    return [scipy.sparse.csr_array(part, shape=(n, n)) for part in parts]
 
 
 def _squares_operator(
@@ -221,12 +231,15 @@ def _lanczos(matrix, K: int, tie_note: bool):
     products on the (K+1)th, which lies at the edge of the noise bulk. That
     value comes instead from one more solve, for the largest-magnitude
     eigenvalue of the matrix deflated by the K pairs, to a relative
-    accuracy tol of 1e-2. The solve is repeated at a tighter tol only while
+    accuracy tol of 1e-1 on a 6-vector Krylov basis. The solve is repeated
+    at tol 1e-5, then 1e-10, on the default basis, only while
     |lambda_K| - |lambda_K+1| is within 2 * tol * |lambda_K+1| plus the tie
-    note's bound. A clear gap costs one loose solve. When lambda_K itself
-    lies in the noise bulk, as for an ``estimate --k`` past the community
-    count, the gap is usually settled at 1e-5, which takes 55-65% of the
-    products of a 1e-10 solve.
+    note's bound. A clear gap costs one coarse solve: 7 products at K = 3 on
+    ``simulate``d n = 2100, L = 4 networks, where tol 1e-2 on the default
+    basis took 21-41; a gap under about 20% of |lambda_K+1| goes on to
+    1e-5. When lambda_K itself lies in the noise bulk, as for an
+    ``estimate --k`` past the community count, the gap is usually settled
+    at 1e-5, which takes 55-65% of the products of a 1e-10 solve.
     """
     # importing scipy.sparse.linalg takes longer than a dense run on a small
     # network, so only the Lanczos branch loads it; names are looked up
@@ -253,9 +266,10 @@ def _lanczos(matrix, K: int, tie_note: bool):
             (n, n), matvec=deflated, dtype=np.float64
         )
         magnitudes = np.abs(values)
-        for tol in (1e-2, 1e-5, 1e-10):
+        for tol, ncv in ((1e-1, 6), (1e-5, None), (1e-10, None)):
             (following,) = scipy.sparse.linalg.eigsh(
-                operator, k=1, which="LM", tol=tol, v0=v0, return_eigenvectors=False
+                operator, k=1, which="LM", tol=tol, ncv=ncv, v0=v0,
+                return_eigenvectors=False,
             )
             margin = 2 * tol * abs(following) + 1e-10 * magnitudes.max()
             if magnitudes.min() - abs(following) > margin:
@@ -273,8 +287,9 @@ def top_k_eigen(agg: AggregateMatrix, K: int, *, _tie_note: bool = True) -> Embe
     Uses a dense solver up to n=2048 and restarted Lanczos (magnitude mode)
     above, for K pairs of the formed array or the matrix-free operator that
     ``agg`` holds; eigenvalue K+1, which only the K/K+1 tie note reads,
-    comes there from a second solve on the aggregate deflated by those
-    pairs. A Lanczos run that does not converge raises UnusableDataError.
+    comes there from a second, coarse solve (tol 1e-1) on the aggregate
+    deflated by those pairs, tightened only near a tie. A Lanczos run that
+    does not converge raises UnusableDataError.
     Eigenvectors carry a deterministic sign convention: the entry of
     largest absolute value in each column is positive. On the dense path one
     ``eigh`` orders every pair and each column's sign depends on that column

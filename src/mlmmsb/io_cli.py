@@ -85,6 +85,8 @@ def _atomic_write(path, text: str) -> None:
 
 
 _MAX_ID = 2**63 - 1  # ids are read as int64
+# a binary stack's flat cell indices are int32 while L * n * n is below this
+CELL_INT32_BOUND = 2**31
 
 
 def _fields(line: str) -> list[str]:
@@ -251,8 +253,10 @@ def read_multiplex_edges(
     if weighted:
         weight = np.ascontiguousarray(weight)
     del layer, u, v
-    # each record names the cell (i, j), then (j, i)
-    cells = np.empty((i.size, 2), dtype=np.int64)
+    # each record names the cell (i, j), then (j, i); a binary stack takes
+    # its cells as int32 while every flat index fits, 8 bytes a record
+    compact = not weighted and shape[0] * n * n < CELL_INT32_BOUND
+    cells = np.empty((i.size, 2), dtype=np.int32 if compact else np.int64)
     np.multiply(i, n, out=cells[:, 0])
     cells[:, 0] += j
     np.multiply(j, n, out=cells[:, 1])
@@ -264,6 +268,7 @@ def read_multiplex_edges(
     if not weighted:
         del weight
         layers = np.zeros(shape, dtype=np.uint8)
+        # numpy casts an int32 index to intp in small buffered chunks
         layers.reshape(-1)[cells] = 1
         del cells
         if drop_self_loops:  # only a self-loop names a diagonal cell

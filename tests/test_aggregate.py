@@ -256,6 +256,40 @@ class TestSquaresOperator:
         assert np.array_equal(build_sos(net).matrix @ x, sos)
         assert np.array_equal(build_ssum_debiased(net).matrix @ x, debiased)
 
+    def test_int64_indices_apply_bit_for_bit(self, monkeypatch, above):
+        net, _ = above
+        x = np.random.default_rng(8).standard_normal(net.n)
+        builds = (build_sos, build_ssum_debiased)
+        want = [build(net).matrix @ x for build in builds]
+        # n * n reaches the bound: the int64 fallback
+        monkeypatch.setattr(aggregate, "CSR_INT32_BOUND", net.n**2)
+        layers = aggregate._csr_layers(net)
+        assert all(a.indices.dtype == a.indptr.dtype == np.int64 for a in layers)
+        for build, product in zip(builds, want):
+            assert np.array_equal(build(net).matrix @ x, product)
+
+    def test_binary_layers_share_one_buffer_of_ones(self, above):
+        net, _ = above
+        layers = aggregate._csr_layers(net)
+        largest = max(layers, key=lambda a: a.nnz)
+        ones = largest.data.base
+        assert ones is not None and ones.shape == (largest.nnz,)
+        assert np.all(ones == 1.0)
+        assert all(np.shares_memory(a.data, ones) for a in layers)
+        assert all(a.data.size == a.nnz for a in layers)
+
+    def test_binary_operator_build_peak(self, above):
+        """The build holds 4 bytes per stored entry (its int32 column index)
+        and, beside them, either one layer's scan (its int64 flat indices) or
+        the one buffer of ones: 8 bytes per entry of the largest layer. The
+        stack is made before the trace starts. Separate float64 ones took 12
+        bytes per stored entry, and the last scan outlived the loop."""
+        net, _ = above
+        counts = [np.count_nonzero(a) for a in net.layers]
+        rows = 16 * (net.L + 2) * (net.n + 1)  # row pointers, their starts, degrees
+        bound = 4 * sum(counts) + 8 * max(counts) + rows
+        assert traced_peak(build_ssum_debiased, net) < bound
+
     def test_weighted_matches_float64_loop(self, above):
         net, _ = above
         n = net.n
@@ -315,8 +349,9 @@ class TestSquaresOperator:
 
 
 class TestLanczosTieNote:
-    """Above the limit eigenvalue K+1 comes from a deflated solve at tol 1e-2,
-    repeated at 1e-5 and then 1e-10 only while the gap could be a tie."""
+    """Above the limit eigenvalue K+1 comes from a coarse deflated solve at
+    tol 1e-1 on a 6-vector basis, repeated at 1e-5 and then 1e-10 only while
+    the gap could be a tie."""
 
     def run(self, monkeypatch, top):
         rest = np.random.default_rng(9).uniform(-1.0, 1.0, N_ABOVE - len(top))

@@ -40,6 +40,19 @@ from mlmmsb.aggregate import DENSE_EIG_LIMIT
 from mlmmsb.model import MembershipMatrix, MultiLayerNetwork
 
 
+def write_random_edges(path, n, L, records, weighted, seed=1):
+    """An edge list of uniform random records in which every node id appears."""
+    rng = np.random.default_rng(seed)
+    layer = rng.integers(1, L + 1, records)
+    u, v = rng.integers(1, n + 1, (2, records))
+    u[:n] = np.arange(1, n + 1)
+    columns, fmt = [layer, u, v], ["%d"] * 3
+    if weighted:
+        columns.append(rng.uniform(0.5, 2.0, records))
+        fmt.append("%.3f")
+    np.savetxt(path, np.column_stack(columns), fmt=fmt)
+
+
 class TestEdgeListParsing:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "net.edges"
@@ -131,10 +144,14 @@ class TestEdgeListParsing:
         [
             # about estimate-file's size: the loadtxt records take 24 bytes
             # each and the index columns 8 bytes each; the uint8 stack is
-            # allocated with only the 16 bytes of each record's two cell
-            # indices left, where holding the records and the columns took
-            # 67 bytes a record
+            # allocated with only each record's two cell indices left, where
+            # holding the records and the columns took 67 bytes a record
             (2100, 4, 400_000, False, 24),
+            # the same, held to its cells: int32 while L * n * n < 2**31, 8
+            # bytes a record, which numpy casts to intp in small chunks as it
+            # fills the stack; this read 8.2 bytes a record above the stack,
+            # int64 cells 16.0
+            (2100, 4, 400_000, False, 9),
             # the float64 stack is allocated with only the cell index and
             # weight of each kept (i, j) and (j, i) entry left, 32 bytes a
             # record, where holding everything took 123 bytes a record
@@ -147,16 +164,8 @@ class TestEdgeListParsing:
         ],
     )
     def test_records_freed_before_the_stack(self, tmp_path, n, L, records, weighted, allowance):
-        rng = np.random.default_rng(1)
-        layer = rng.integers(1, L + 1, records)
-        u, v = rng.integers(1, n + 1, (2, records))
-        u[:n] = np.arange(1, n + 1)  # every node id appears
-        columns, fmt = [layer, u, v], ["%d"] * 3
-        if weighted:
-            columns.append(rng.uniform(0.5, 2.0, records))
-            fmt.append("%.3f")
         path = tmp_path / "net.edges"
-        np.savetxt(path, np.column_stack(columns), fmt=fmt)
+        write_random_edges(path, n, L, records, weighted)
         tracemalloc.start()
         try:
             layers = read_multiplex_edges(path, binarize=not weighted).network.layers
@@ -166,6 +175,21 @@ class TestEdgeListParsing:
         assert layers.shape == (L, n, n)
         assert layers.dtype == (np.float64 if weighted else np.uint8)
         assert peak < layers.nbytes + allowance * records
+
+    @pytest.mark.parametrize("drop_self_loops", [True, False])
+    def test_int64_cells_fill_the_same_stack(self, tmp_path, monkeypatch, drop_self_loops):
+        n, L, records = 300, 3, 20_000
+        path = tmp_path / "net.edges"
+        write_random_edges(path, n, L, records, weighted=False)
+        with path.open("a") as handle:  # self-loops and a repeated line
+            handle.write("".join(f"{1 + v % L} {v} {v}\n" for v in range(1, n + 1, 7)))
+            handle.write("1 1 2\n1 2 1\n1 1 2\n")
+        want = read_multiplex_edges(path, drop_self_loops=drop_self_loops).network.layers
+        # L * n * n reaches the bound: the int64 fallback
+        monkeypatch.setattr(io_cli, "CELL_INT32_BOUND", L * n * n)
+        got = read_multiplex_edges(path, drop_self_loops=drop_self_loops).network.layers
+        assert np.array_equal(got, want)
+        assert want.sum() > 0
 
     def test_binarize_collapses_weights(self, tmp_path):
         path = tmp_path / "net.edges"
