@@ -14,12 +14,13 @@ PYTHONPATH and writes into OUT_DIR:
   input, where lambda_K lies in the noise bulk and the tie note's deflated
   solve runs its tol 1e-5 rung, the self-loop, duplicate-line, weighted and
   zero/negative-weight files, which the script derives from the dense
-  input, spsos on a weighted file derived from the Lanczos input in
-  the same way, and spdsos on two renumberings of the Lanczos input: one
+  input, spdsos with ``--keep-weights`` on the weighted file, spsos and
+  spdsos with ``--keep-weights`` on a weighted file derived from the
+  Lanczos input in the same way, and spdsos on two renumberings of the Lanczos input: one
   with node ids 1000..3099 (contiguous, mapped by offset) and one with node
   ids 3v + 10**12 and layer ids l * 10**9 (gapped, mapped by search);
-- ``select-k`` stdout for spdsos fmean, spsos fsum and weighted spsum fmean
-  on the dense input, spdsos fmean and spsum fsum on the Lanczos input,
+- ``select-k`` stdout for spdsos fmean, spsos fsum, and weighted spsum fmean
+  and spdsos fmean on the dense input, spdsos fmean and spsum fsum on the Lanczos input,
   spdsos fsum on its offset renumbering and spsum fsum on its gapped one;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
@@ -104,6 +105,7 @@ ESTIMATES = [
     ("lanczos", "spdsos", ["--k", "5"]),
     ("lanczos", "spsos", ["--k", "5"]),
     ("weighted-lanczos", "spsos", ["--keep-weights"]),
+    ("weighted-lanczos", "spdsos", ["--keep-weights"]),
     ("offset-lanczos", "spdsos", []),
     ("gapped-lanczos", "spdsos", []),
     ("loops", "spsos", ["--keep-self-loops"]),
@@ -111,6 +113,7 @@ ESTIMATES = [
     ("weighted", "spsum", ["--keep-weights", "--keep-self-loops"]),
     ("weighted", "spsos", ["--keep-weights"]),
     ("weighted", "spdsos", []),
+    ("weighted", "spdsos", ["--keep-weights"]),
     ("signed", "spdsos", []),
     ("signed", "spdsos", ["--keep-weights"]),
 ]
@@ -119,6 +122,7 @@ SELECTIONS = [
     ("dense", "spdsos", "fmean", []),
     ("dense", "spsos", "fsum", []),
     ("weighted", "spsum", "fmean", ["--keep-weights"]),
+    ("weighted", "spdsos", "fmean", ["--keep-weights"]),
     ("lanczos", "spdsos", "fmean", []),
     ("lanczos", "spsum", "fsum", []),
     ("offset-lanczos", "spdsos", "fsum", []),

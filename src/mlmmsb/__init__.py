@@ -24,7 +24,6 @@ from .errors import (
     ModelSelectionError,
     ParseError,
     RankDeficiencyError,
-    UnsupportedInputError,
     UnusableDataError,
 )
 from .estimators import (

@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedInputError, UnusableDataError
+from .errors import DimensionError, UnusableDataError
 from .model import ExpectationStack, MultiLayerNetwork
 
 if TYPE_CHECKING:
@@ -131,12 +131,14 @@ def _squares_operator(
     net: MultiLayerNetwork, debiased: bool
 ) -> scipy.sparse.linalg.LinearOperator:
     """x -> sum over layers of A_l (A_l x), minus d * x when debiased, where d
-    holds the summed degrees: the squared aggregate as a LinearOperator on
+    is the diagonal of that sum: the squared aggregate as a LinearOperator on
     the CSR layers of ``_csr_layers``, never formed.
 
-    A binary layer's degree is its row's nonzero count. A product that is
-    not finite (weighted layers whose squares overflow float64) raises
-    UnusableDataError.
+    For symmetric layers d_i is the sum over layers and columns of a_ij^2. A
+    binary layer's share is its row's nonzero count, read off the row
+    pointers; a weighted layer's is the row sum of its squared entries. A
+    product that is not finite (weighted layers whose squares overflow
+    float64) raises UnusableDataError.
     """
     import scipy.sparse.linalg
 
@@ -145,7 +147,7 @@ def _squares_operator(
     shift = np.zeros(n)
     if debiased:
         for a in layers:
-            shift -= np.diff(a.indptr)
+            shift -= np.diff(a.indptr) if net.binary else a.multiply(a).sum(axis=1)
 
     def matvec(x):
         x = np.ravel(x)
@@ -162,19 +164,17 @@ def _squares_operator(
 
 
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
-    """Sum over layers of A_l^2 - D_l, where D_l holds the layer-l degrees.
+    """The sum over layers of A_l^2 with its diagonal set to zero, for binary
+    and weighted layers alike.
 
-    For binary symmetric layers (A_l^2)(i,i) equals the degree of node i,
-    self-loops included, so subtracting D_l zeroes the diagonal exactly and
-    removes the degree-driven bias of the plain sum of squares. The result is
-    the sum of squares with its diagonal set to zero; above
-    ``DENSE_EIG_LIMIT`` nodes it is applied matrix-free, as x -> sum of
-    A_l (A_l x) - d * x.
+    With independent entries only the diagonal of the sum of squares is
+    biased, whatever the weights, and zeroing it is the bias adjustment of
+    Lei & Lin (2023). For binary symmetric layers (A_l^2)(i,i) is the degree
+    of node i, self-loops included, so this is also the sum of A_l^2 - D_l,
+    with D_l the layer-l degrees. Above ``DENSE_EIG_LIMIT`` nodes it is
+    applied matrix-free, as x -> sum of A_l (A_l x) - d * x, where d is the
+    diagonal of the sum of squares.
     """
-    if not net.binary:
-        raise UnsupportedInputError(
-            "debiased sum of squares requires binary layers"
-        )
     if net.n > DENSE_EIG_LIMIT:
         return AggregateMatrix(matrix=_squares_operator(net, debiased=True))
     out = _square_sum(net)

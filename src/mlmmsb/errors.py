@@ -13,10 +13,6 @@ class ConfigError(MlmmsbError, ValueError):
     """An invalid parameter or configuration value."""
 
 
-class UnsupportedInputError(MlmmsbError, TypeError):
-    """Input violates an assumption the operation relies on (e.g. weighted layers)."""
-
-
 class RankDeficiencyError(MlmmsbError, ValueError):
     """Residual collapsed before enough simplex vertices were found."""
 

@@ -49,10 +49,10 @@ def build_aggregates(
 ) -> Iterator[AggregateMatrix]:
     """Yield the aggregate matrix of each method id in turn.
 
-    When both run on binary layers of at most ``DENSE_EIG_LIMIT`` nodes,
-    SPDSoS and SPSoS share one square: SPSoS gets the formed sum of squares
-    from ``build_sos``, and SPDSoS a copy with its diagonal zeroed, which is
-    what ``build_ssum_debiased`` returns. Otherwise each method calls its own
+    When both run on a network of at most ``DENSE_EIG_LIMIT`` nodes, binary
+    or weighted, SPDSoS and SPSoS share one square: SPSoS gets the formed
+    sum of squares from ``build_sos``, and SPDSoS a copy with its diagonal
+    zeroed, which is what ``build_ssum_debiased`` returns. Otherwise each method calls its own
     builder. Besides the aggregate last yielded, at most the sum is kept.
     """
     keys = []
@@ -60,7 +60,7 @@ def build_aggregates(
         if method.upper() not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         keys.append(method.upper())
-    shared = net.binary and net.n <= DENSE_EIG_LIMIT and {SPDSOS, SPSOS} <= set(keys)
+    shared = net.n <= DENSE_EIG_LIMIT and {SPDSOS, SPSOS} <= set(keys)
     sos = None
     for key in keys:
         if key == SPSUM:

@@ -30,7 +30,6 @@ from .errors import (
     IoError,
     MlmmsbError,
     ParseError,
-    UnsupportedInputError,
     UnusableDataError,
 )
 from .estimators import METHODS, build_aggregate, estimate
@@ -616,10 +615,6 @@ def _build_parser() -> _Parser:
 
 def _load_network(args) -> MultiplexData:
     path = _resolve_dataset(args.data, args.data_dir)
-    if args.keep_weights and args.method == "spdsos":
-        raise UnsupportedInputError(
-            "spdsos requires binary layers; drop --keep-weights"
-        )
     data = read_multiplex_edges(
         path, binarize=not args.keep_weights, drop_self_loops=not args.keep_self_loops
     )

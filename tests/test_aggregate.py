@@ -13,7 +13,6 @@ from mlmmsb import (
     DimensionError,
     MembershipMatrix,
     MultiLayerNetwork,
-    UnsupportedInputError,
     UnusableDataError,
     build_asum,
     build_sos,
@@ -91,9 +90,10 @@ class TestBuilders:
             diag = np.diagonal(build_ssum_debiased(net_of(a)).matrix)
             assert np.all(diag == 0)
 
-    def test_debiased_rejects_weighted(self):
-        with pytest.raises(UnsupportedInputError):
-            build_ssum_debiased(net_of(0.5 * PATH_3))
+    def test_debiased_weighted_zeroes_diagonal(self):
+        # (A/2)^2 = A^2 / 4 with its diagonal zeroed, as for binary layers
+        expected = np.array([[0, 0, 0.25], [0, 0, 0], [0.25, 0, 0]])
+        assert np.array_equal(build_ssum_debiased(net_of(0.5 * PATH_3)).matrix, expected)
 
     def test_sos_single_path(self):
         expected = np.array([[1, 0, 1], [0, 2, 0], [1, 0, 1]], dtype=float)
@@ -296,7 +296,10 @@ class TestSquaresOperator:
         weights = np.array([0.1, 1 / 3, 2.5])[np.add.outer(np.arange(n), np.arange(n)) % 3]
         weighted = MultiLayerNetwork(layers=net.layers * weights)
         assert not weighted.binary
-        assert_applies(build_sos(weighted), float64_square_sum(weighted.layers))
+        square = float64_square_sum(weighted.layers)
+        assert_applies(build_sos(weighted), square)
+        np.fill_diagonal(square, 0.0)
+        assert_applies(build_ssum_debiased(weighted), square)
 
     def test_build_aggregates_gives_each_method_its_operator(self, above):
         # above DENSE_EIG_LIMIT nothing is formed to share, so each method

@@ -14,7 +14,6 @@ import pytest
 from mlmmsb import (
     MembershipMatrix,
     MultiLayerNetwork,
-    UnsupportedInputError,
     build_asum,
     build_sos,
     build_ssum_debiased,
@@ -25,6 +24,7 @@ from mlmmsb import (
     q_fmean,
     q_fsum,
 )
+from mlmmsb import estimators
 from mlmmsb.estimators import build_aggregates
 from mlmmsb.io_cli import MultiplexData, write_multiplex_edges
 
@@ -106,13 +106,17 @@ def test_squared_builders(net, order):
         assert matrix.tobytes() == BUILDERS[method](net).matrix.tobytes(), method
 
 
-def test_weighted_squares_stop_at_spdsos(net):
+def test_weighted_squares_are_shared(net, monkeypatch):
     weighted = MultiLayerNetwork(layers=net.layers * 1.5)
-    aggregates = build_aggregates(weighted, ("spsos", "spdsos"))
-    first = next(aggregates).matrix
-    assert first.tobytes() == build_sos(weighted).matrix.tobytes()
-    with pytest.raises(UnsupportedInputError):
-        next(aggregates)
+    sos = build_sos(weighted).matrix
+    debiased = sos.copy()
+    np.fill_diagonal(debiased, 0.0)
+    assert build_ssum_debiased(weighted).matrix.tobytes() == debiased.tobytes()
+    calls = []
+    monkeypatch.setattr(estimators, "build_sos", lambda n: calls.append(n) or build_sos(n))
+    built = [agg.matrix.tobytes() for agg in build_aggregates(weighted, ("spsos", "spdsos"))]
+    assert built == [sos.tobytes(), debiased.tobytes()]
+    assert calls == [weighted]
 
 
 def test_modularity(net):

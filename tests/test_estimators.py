@@ -5,7 +5,6 @@ import pytest
 
 from mlmmsb import (
     MultiLayerNetwork,
-    UnsupportedInputError,
     expected_adjacency,
     generate_connectivity,
     generate_membership,
@@ -18,7 +17,7 @@ from mlmmsb import (
     spsum,
     spsum_oracle,
 )
-from mlmmsb.aggregate import build_ssum_debiased
+from mlmmsb.aggregate import DENSE_EIG_LIMIT, build_ssum_debiased
 from mlmmsb.estimators import build_aggregate, estimate
 
 
@@ -76,10 +75,17 @@ class TestContracts:
         net = sample_mlmmsb(pi, conn, seed=8)
         assert np.all(np.diagonal(build_ssum_debiased(net).matrix) == 0)
 
-    def test_spdsos_rejects_weighted(self):
-        layers = 0.5 * np.ones((1, 4, 4))
-        with pytest.raises(UnsupportedInputError):
-            spdsos(MultiLayerNetwork(layers=layers), 2)
+    @pytest.mark.parametrize("n", [300, DENSE_EIG_LIMIT + 52], ids=["dense", "lanczos"])
+    def test_spdsos_scaled_weights_give_binary_memberships(self, n):
+        # scaling by a power of two scales the aggregate exactly, by its square
+        pi, conn = instance(n=n, n0=n // 6, L=2, rho=0.3, seed=n)
+        net = sample_mlmmsb(pi, conn, seed=n + 1)
+        want = spdsos(net, 3)
+        for c in (2.0, 0.125):
+            got = spdsos(MultiLayerNetwork(layers=c * net.layers), 3)
+            assert got.vertices.indices == want.vertices.indices, c
+            assert got.pi_hat.rows.tobytes() == want.pi_hat.rows.tobytes(), c
+            assert np.array_equal(got.eigenvalues, c * c * want.eigenvalues), c
 
     def test_permutation_equivariance(self):
         pi, conn = instance(n=40, n0=8, seed=9)

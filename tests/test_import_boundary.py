@@ -63,18 +63,31 @@ def test_import_loads_no_scipy():
     assert run_fresh(script) == "[]\n"
 
 
-@pytest.mark.parametrize("command", ["estimate", "select-k", "simulate", "classify"])
-def test_dense_commands_load_no_scipy(command, small, tmp_path):
+@pytest.fixture(scope="module")
+def weighted(small):
+    """``small`` with weights 0.5, 1 and 1.5, which load as a float64 stack."""
+    out = small.with_name("weighted.edges")
+    lines = small.read_text().splitlines()
+    out.write_text("".join(f"{line} {i % 3 / 2 + 0.5:g}\n" for i, line in enumerate(lines)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "command", ["estimate", "estimate-weighted", "select-k", "simulate", "classify"]
+)
+def test_dense_commands_load_no_scipy(command, small, weighted, tmp_path):
     args = {
         "estimate": ["--data", str(small), "--method", "spdsos", "--k", "3",
                      "--out-dir", str(tmp_path)],
+        "estimate-weighted": ["--data", str(weighted), "--method", "spdsos", "--keep-weights",
+                              "--k", "3", "--out-dir", str(tmp_path)],
         "select-k": ["--data", str(small), "--method", "spdsos", "--range", "2..4",
                      "--criterion", "fmean"],
         "simulate": ["--n", "70", "--n0", "20", "--layers", "3",
                      "--out", str(tmp_path / "again.edges")],
         "classify": ["--pi", f"{small}.membership.csv"],
     }[command]
-    assert fresh(command, *args) == {"code": 0, "scipy": []}
+    assert fresh(command.removesuffix("-weighted"), *args) == {"code": 0, "scipy": []}
 
 
 @pytest.fixture(scope="module")

@@ -922,13 +922,15 @@ class TestCli:
         path = tmp_path / "ring.edges"
         n = DENSE_EIG_LIMIT + 52
         path.write_text("".join(f"1 {i} {i % n + 1} 1e200\n" for i in range(1, n + 1)))
-        code = cli_main(
-            ["estimate", "--data", str(path), "--method", "spsos", "--keep-weights",
-             "--k", "2", "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert "error: UnusableDataError: " in capsys.readouterr().err
-        assert not (tmp_path / "membership.csv").exists()
+        # SPDSoS's shift, the row sums of the squared weights, overflows too
+        for method in ("spsos", "spdsos"):
+            code = cli_main(
+                ["estimate", "--data", str(path), "--method", method, "--keep-weights",
+                 "--k", "2", "--out-dir", str(tmp_path)]
+            )
+            assert code == 2, method
+            assert "error: UnusableDataError: " in capsys.readouterr().err, method
+            assert not (tmp_path / "membership.csv").exists(), method
 
     def test_estimate_out_dir_is_a_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.edges"
@@ -1060,15 +1062,31 @@ class TestCli:
         assert proc.stderr == ""
         assert "simulate" in proc.stdout
 
-    def test_keep_weights_refuses_spdsos(self, tmp_path, capsys):
-        path = tmp_path / "w.edges"
-        path.write_text("1 1 2 2.5\n1 2 3 1.0\n")
+    @pytest.mark.parametrize("n", [300, DENSE_EIG_LIMIT + 52], ids=["dense", "lanczos"])
+    def test_keep_weights_spdsos_writes_binary_memberships(self, tmp_path, n):
+        binary = tmp_path / "binary.edges"
         code = cli_main(
-            ["estimate", "--data", str(path), "--method", "spdsos", "--k", "2",
-             "--keep-weights", "--out-dir", str(tmp_path)]
+            ["simulate", "--n", str(n), "--n0", str(n // 6), "--layers", "2",
+             "--rho", "0.1", "--seed", "5", "--out", str(binary)]
         )
-        assert code == 2
-        assert "binary" in capsys.readouterr().err
+        assert code == 0
+        lines = binary.read_text().splitlines()
+
+        def membership(path, *flags):
+            out = tmp_path / path.stem
+            code = cli_main(
+                ["estimate", "--data", str(path), "--method", "spdsos", "--k", "3",
+                 "--out-dir", str(out), *flags]
+            )
+            assert code == 0
+            return (out / "membership.csv").read_bytes()
+
+        want = membership(binary)
+        # weight 1 loads as a binary stack, 2 and 1/8 as float64 stacks
+        for weight in ("1", "2", "0.125"):
+            path = tmp_path / f"weight-{weight}.edges"
+            path.write_text("".join(f"{line} {weight}\n" for line in lines))
+            assert membership(path, "--keep-weights") == want, weight
 
     @pytest.mark.parametrize("weight", ["1e-300", "1e300"])
     def test_select_k_weighted_modularity_is_scale_invariant(self, tmp_path, capsys, weight):
@@ -1088,13 +1106,15 @@ class TestCli:
         path = tmp_path / "w.edges"
         cycle = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1), (1, 4)]
         path.write_text("".join(f"1 {u} {v} 1e200\n" for u, v in cycle))
-        code = cli_main(
-            ["estimate", "--data", str(path), "--method", "spsos", "--k", "2",
-             "--keep-weights", "--out-dir", str(tmp_path)]
-        )
-        assert code == 2
-        assert capsys.readouterr().err.startswith("error: UnusableDataError: ")
-        assert not (tmp_path / "membership.csv").exists()
+        # both squared methods form the same sum before SPDSoS zeroes its diagonal
+        for method in ("spsos", "spdsos"):
+            code = cli_main(
+                ["estimate", "--data", str(path), "--method", method, "--k", "2",
+                 "--keep-weights", "--out-dir", str(tmp_path)]
+            )
+            assert code == 2, method
+            assert capsys.readouterr().err.startswith("error: UnusableDataError: "), method
+            assert not (tmp_path / "membership.csv").exists(), method
 
     def test_select_k_overflowing_layer_sum_exit_2(self, tmp_path, capsys):
         path = tmp_path / "w.edges"

@@ -16,7 +16,6 @@ from mlmmsb import (
     ModelSelectionError,
     MultiLayerNetwork,
     RankDeficiencyError,
-    UnsupportedInputError,
     UnusableDataError,
     classify_nodes,
     estimate_k,
@@ -520,10 +519,16 @@ class TestEstimateK:
         for k in (2, 3, 5):
             assert f"{k}: 'UnusableDataError: Lanczos did not converge" in str(info.value)
 
-    def test_weighted_spdsos_raises(self):
-        net = MultiLayerNetwork(layers=0.5 * np.ones((1, 4, 4)))
-        with pytest.raises(UnsupportedInputError):
-            estimate_k(net, "spdsos", [2, 3])
+    @pytest.mark.parametrize(
+        "size", [{}, {"n": DENSE_EIG_LIMIT + 52, "L": 2, "rho": 0.05, "seed": 1}],
+        ids=["dense", "lanczos"],
+    )
+    def test_weighted_spdsos_selects_as_binary(self, size):
+        net = self.planted_two_block(**size)
+        want = estimate_k(net, "spdsos", [2, 3, 4], "fmean")
+        for c in (2.0, 0.125):
+            got = estimate_k(MultiLayerNetwork(layers=c * net.layers), "spdsos", [2, 3, 4], "fmean")
+            assert (got.best_k, got.scores) == (want.best_k, want.scores), c
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError, match="unknown method"):
