@@ -14,14 +14,21 @@ PYTHONPATH and writes into OUT_DIR:
   input, where lambda_K lies in the noise bulk and the tie note's deflated
   solve runs its tol 1e-5 rung, the self-loop, duplicate-line, weighted and
   zero/negative-weight files, which the script derives from the dense
-  input, spdsos with ``--keep-weights`` on the weighted file, spsos and
-  spdsos with ``--keep-weights`` on a weighted file derived from the
-  Lanczos input in the same way, and spdsos on two renumberings of the Lanczos input: one
-  with node ids 1000..3099 (contiguous, mapped by offset) and one with node
-  ids 3v + 10**12 and layer ids l * 10**9 (gapped, mapped by search);
+  input, spdsos with ``--keep-weights`` on the weighted file, and spdsos
+  on two renumberings of the Lanczos input: one with node ids 1000..3099
+  (contiguous, mapped by offset) and one with node ids 3v + 10**12 and
+  layer ids l * 10**9 (gapped, mapped by search);
+- ``estimate`` on the same three variants derived from the Lanczos input,
+  which read into CSR layers: spsos, spdsos and spsum with
+  ``--keep-weights`` on the weighted file, spdsos with and without
+  ``--keep-self-loops`` on the self-loop and duplicate-line file, and spdsos
+  on the zero/negative-weight file, binarised and with ``--keep-weights``
+  (exit 2);
 - ``select-k`` stdout for spdsos fmean, spsos fsum, and weighted spsum fmean
-  and spdsos fmean on the dense input, spdsos fmean and spsum fsum on the Lanczos input,
-  spdsos fsum on its offset renumbering and spsum fsum on its gapped one;
+  and spdsos fmean on the dense input, spdsos fmean and spsum fsum on the
+  Lanczos input, spdsos fmean with ``--keep-weights`` on its weighted
+  variant, spdsos fsum on its offset renumbering and spsum fsum on its
+  gapped one;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
 - ``experiment --config`` CSVs and SVGs for a small n sweep, a small L
@@ -64,14 +71,17 @@ def renumbered(lines, layer_of, node_of):
             for l, u, v in edges_of(lines)]
 
 
-def derived_inputs(dense_lines):
-    """Edge-list variants of the dense input, each as a list of lines."""
-    edges = edges_of(dense_lines)
+def derived_inputs(lines, n, layers, suffix=""):
+    """Self-loop and duplicate-line, weighted and zero/negative-weight
+    variants of an input of n nodes and the given layer count, each as a
+    list of lines, named ``loops<suffix>.edges`` and so on."""
+    edges = edges_of(lines)
     loops = [" ".join(e) for e in edges]
-    loops += [f"{1 + v % 20} {v} {v}" for v in range(1, 601, 7)]  # self-loops
+    loops += [f"{1 + v % layers} {v} {v}" for v in range(1, n + 1, 7)]  # self-loops
     loops += loops[::5]  # duplicate lines
     signed = [f"{' '.join(e)} {(-1, 0, 0.5, 2)[i % 4]:g}" for i, e in enumerate(edges)]
-    return {"loops.edges": loops, "weighted.edges": weighted(dense_lines), "signed.edges": signed}
+    return {f"loops{suffix}.edges": loops, f"weighted{suffix}.edges": weighted(lines),
+            f"signed{suffix}.edges": signed}
 
 
 CONFIGS = {
@@ -106,6 +116,11 @@ ESTIMATES = [
     ("lanczos", "spsos", ["--k", "5"]),
     ("weighted-lanczos", "spsos", ["--keep-weights"]),
     ("weighted-lanczos", "spdsos", ["--keep-weights"]),
+    ("weighted-lanczos", "spsum", ["--keep-weights"]),
+    ("loops-lanczos", "spdsos", []),
+    ("loops-lanczos", "spdsos", ["--keep-self-loops"]),
+    ("signed-lanczos", "spdsos", []),
+    ("signed-lanczos", "spdsos", ["--keep-weights"]),
     ("offset-lanczos", "spdsos", []),
     ("gapped-lanczos", "spdsos", []),
     ("loops", "spsos", ["--keep-self-loops"]),
@@ -125,6 +140,7 @@ SELECTIONS = [
     ("weighted", "spdsos", "fmean", ["--keep-weights"]),
     ("lanczos", "spdsos", "fmean", []),
     ("lanczos", "spsum", "fsum", []),
+    ("weighted-lanczos", "spdsos", "fmean", ["--keep-weights"]),
     ("offset-lanczos", "spdsos", "fsum", []),
     ("gapped-lanczos", "spsum", "fsum", []),
 ]
@@ -178,10 +194,10 @@ def main() -> int:
     for name, argv in SIMULATIONS:
         run(name, argv, env)
     with open("dense.edges") as handle:
-        inputs = derived_inputs(handle.readlines())
+        inputs = derived_inputs(handle.readlines(), 600, 20)
     with open("lanczos.edges") as handle:
         lanczos_lines = handle.readlines()
-    inputs["weighted-lanczos.edges"] = weighted(lanczos_lines)
+    inputs.update(derived_inputs(lanczos_lines, 2100, 4, "-lanczos"))
     inputs["offset-lanczos.edges"] = renumbered(lanczos_lines, int, lambda v: v + 999)
     inputs["gapped-lanczos.edges"] = renumbered(
         lanczos_lines, lambda l: l * 10**9, lambda v: 3 * v + 10**12

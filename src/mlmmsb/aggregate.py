@@ -86,45 +86,77 @@ def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
 
 def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
     """Entrywise sum of all layers; a weighted sum that overflows raises
-    UnusableDataError."""
+    UnusableDataError.
+
+    CSR layers are added into one float64 array in layer order, entry by
+    stored entry, which is the dense stack's sum bit for bit.
+    """
+    binary = isinstance(net, MultiLayerNetwork) and net.binary
     with np.errstate(over="ignore"):
-        total = net.layers.sum(axis=0, dtype=float)
-    if net.layers.dtype != np.uint8 and not np.isfinite(total).all():
+        if isinstance(net, MultiLayerNetwork) and net.csr:
+            total = np.zeros((net.n, net.n))
+            for a in net.layers:
+                total[np.repeat(np.arange(net.n), np.diff(a.indptr)), a.indices] += a.data
+        else:
+            total = net.layers.sum(axis=0, dtype=float)
+    if not binary and not np.isfinite(total).all():
         raise UnusableDataError("the sum of layers overflows float64")
     return AggregateMatrix(matrix=total)
 
 
-def _csr_layers(net: MultiLayerNetwork) -> list:
-    """The layers as scipy CSR arrays, each from one scan of the layer.
+def csr_parts(cells: np.ndarray, values, L: int, n: int) -> list:
+    """The (data, indices, indptr) of each layer of an (L, n, n) stack, from
+    the flat indices of its stored cells, sorted and distinct, and their
+    values (None when binary).
 
-    Row i starts at flat index i*n. Indices and row pointers are int32 while
-    n*n < ``CSR_INT32_BOUND``, which bounds every entry count, and int64
-    above: scipy keeps the int64 arrays it is handed, at 4 more bytes per
-    stored entry. A binary layer's entries are ones, so they need no gather
-    from the layer: every binary layer's ``data`` is a view of one read-only
-    float64 buffer of ones, as long as the layer with the most entries, so
-    binary layers take 4 bytes per stored entry plus that one buffer.
+    Row r of layer l starts at cell (l * n + r) * n, and a cell's column is
+    its remainder by n, written over ``cells``. Indices and row pointers
+    are int32 while n * n < ``CSR_INT32_BOUND``, which bounds every entry
+    count, and int64 above.
+    """
+    starts = np.searchsorted(cells, np.arange(L * n + 1, dtype=cells.dtype) * n)
+    index = np.int32 if n * n < CSR_INT32_BOUND else np.int64
+    cols = np.remainder(cells, n, out=cells).astype(index, copy=False)
+    parts = []
+    for l in range(L):
+        rows = starts[l * n : (l + 1) * n + 1]
+        lo, hi = rows[0], rows[-1]
+        data = None if values is None else values[lo:hi]
+        parts.append((data, cols[lo:hi], (rows - lo).astype(index)))
+    return parts
+
+
+def csr_arrays(parts, n: int) -> tuple:
+    """scipy CSR arrays of shape (n, n) from ``csr_parts``' triples.
+
+    A binary layer's entries are ones: every binary layer's ``data`` is a
+    view of one read-only float64 buffer of ones, as long as the layer with
+    the most entries, so binary layers take 4 bytes per stored entry (int32
+    indices) plus that one buffer. scipy keeps the index arrays it is
+    handed, int64 ones too, at 4 more bytes per stored entry.
     """
     import scipy.sparse
 
-    n = net.n
-    index = np.int32 if n * n < CSR_INT32_BOUND else np.int64
-    starts = np.arange(n + 1) * n
+    if parts and parts[0][0] is None:
+        ones = np.ones(max(cols.size for _, cols, _ in parts))
+        ones.flags.writeable = False
+        parts = [(ones[: cols.size], cols, indptr) for _, cols, indptr in parts]
+    return tuple(scipy.sparse.csr_array(part, shape=(n, n)) for part in parts)
+
+
+def _csr_layers(net: MultiLayerNetwork) -> tuple:
+    """The layers as scipy CSR arrays: a network's own CSR layers as they
+    are, or else each dense layer from one scan of it."""
+    if net.csr:
+        return net.layers
     parts = []
     for a in net.layers:
         # a binary layer holds only 0 and 1, and numpy scans bool for
         # nonzeros about twice as fast as uint8
         idx = np.flatnonzero(a.view(bool) if net.binary else a)
-        data = None if net.binary else a.ravel()[idx]
-        indptr = np.searchsorted(idx, starts).astype(index)
-        cols = np.remainder(idx, n, out=idx).astype(index)
+        parts += csr_parts(idx, None if net.binary else a.ravel()[idx], 1, net.n)
         del idx  # else the last layer's scan outlives the loop
-        parts.append((data, cols, indptr))
-    if net.binary:
-        ones = np.ones(max(cols.size for _, cols, _ in parts))
-        ones.flags.writeable = False
-        parts = [(ones[: cols.size], cols, indptr) for _, cols, indptr in parts]
-    return [scipy.sparse.csr_array(part, shape=(n, n)) for part in parts]
+    return csr_arrays(parts, net.n)
 
 
 def _squares_operator(

@@ -189,14 +189,14 @@ def compute_diagnostics(
     rho*n*L >= tau^2 * log(n+L) and rho^2*n^2*L >= tau_tilde^2 * log(n+L),
     with rho taken from omega.
     """
-    if net.layers.shape != omega.layers.shape:
+    if (net.L, net.n, net.n) != omega.layers.shape:
         raise DimensionError("network and expectation stacks disagree on shape")
     rho, n, L = omega.rho, net.n, net.L
     # one layer at a time, so the temporaries stay n x n
     dev = np.zeros((n, n))
     dev2 = np.zeros((n, n))
     for a, o in zip(net.layers, omega.layers):
-        a = a.astype(np.float64)
+        a = a.toarray() if net.csr else a.astype(np.float64)
         dev += a - o
         dev2 += a @ a - o @ o
     tau = float(np.abs(dev).max())

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import experiments
+from . import aggregate, experiments
 from .errors import (
     ConfigError,
     EmptyNetworkError,
@@ -86,6 +86,8 @@ def _atomic_write(path, text: str) -> None:
 _MAX_ID = 2**63 - 1  # ids are read as int64
 # a binary stack's flat cell indices are int32 while L * n * n is below this
 CELL_INT32_BOUND = 2**31
+# records per block when ids that are not contiguous are searched
+_SEARCH_BLOCK = 2**16
 
 
 def _fields(line: str) -> list[str]:
@@ -202,16 +204,53 @@ def _sorted_distinct(ids: np.ndarray) -> np.ndarray:
 
 def _index_in(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The index of each of ``values`` in the sorted distinct ``ids``, as
-    ``np.searchsorted(ids, values)``.
+    ``np.searchsorted(ids, values)``, written as int32 while every index
+    fits: 4 bytes a record rather than 8.
 
     Contiguous ids, as ``simulate`` and the usual dataset releases number
     their nodes, map by subtracting the first: for the two node columns of
     a 427k-line edge list that took 1.3 ms against 28 ms for the search.
-    Ids lie in [1, 2**63 - 1], so no difference overflows.
+    Ids lie in [1, 2**63 - 1], so no difference overflows. Other ids are
+    searched in blocks: the search copies a strided record column to a
+    contiguous one and returns intp, which for the whole column at once
+    took 16 more bytes a record.
     """
+    out = np.empty(values.size, np.int32 if ids.size <= 2**31 else np.intp)
     if ids[-1] - ids[0] == ids.size - 1:
-        return values - ids[0]
-    return np.searchsorted(ids, values)
+        np.subtract(values, ids[0], out=out, casting="unsafe")
+    else:
+        for start in range(0, values.size, _SEARCH_BLOCK):
+            block = slice(start, start + _SEARCH_BLOCK)
+            out[block] = np.searchsorted(ids, values[block])
+    return out
+
+
+def _stored_cells(cells, weight, L: int, n: int, binarize: bool, drop_self_loops: bool):
+    """The sorted distinct cells that the dense read would store from the
+    same cells, with their values: None for a binary read.
+
+    ``cells`` holds each record's flat cells (i, j) and (j, i) in the (L, n,
+    n) stack; ``weight`` is None for a binary read, else the weight of each
+    cell after the self-loop filter. A binary read sorts the cells and drops
+    repeats. A weighted read sums each distinct cell's weights in file
+    order, by ``np.add.at`` over the inverse of the distinct cells, as the
+    dense fill does, so the sums keep their bits.
+    """
+    if weight is None:
+        if drop_self_loops:  # a self-loop's one cell sorts past every other
+            cells[cells[:, 0] == cells[:, 1]] = L * n * n
+        cells = _sorted_distinct(cells.reshape(-1))
+        return (cells[:-1] if cells[-1] == L * n * n else cells), None
+    cells, inverse = np.unique(cells, return_inverse=True)
+    sums = np.zeros(cells.size)
+    with np.errstate(over="ignore"):
+        np.add.at(sums, inverse, weight)
+    if binarize:  # a sum past float64 keeps its sign: +inf is an edge
+        return cells[sums > 0], None
+    if not np.isfinite(sums).all():
+        raise UnusableDataError("an edge's summed weight overflows float64")
+    stored = sums != 0  # a stack stores no zero
+    return cells[stored], sums[stored]
 
 
 def read_multiplex_edges(
@@ -226,6 +265,12 @@ def read_multiplex_edges(
     order, so a layer id that no line names takes no layer. Duplicate edges
     accumulate in file order; in binarize mode a cell whose sum is positive
     is an edge, and the layers come back as a ``uint8`` stack.
+
+    Above ``aggregate.DENSE_EIG_LIMIT`` nodes, where the squared aggregates
+    run on CSR layers, the layers come back as a tuple of L
+    ``scipy.sparse.csr_array`` instead, built from the records' sorted cells:
+    the (L, n, n) stack is never allocated. They equal, array for array,
+    what the aggregates would build from the stack.
     """
     try:
         with open(path) as handle:
@@ -237,49 +282,56 @@ def read_multiplex_edges(
     if not layer.size:
         raise EmptyNetworkError(f"no nodes found in {path}")
     # look each record up in the sorted ids: np.unique's inverse holds an
-    # argsort and its scatter of all 2 x records ids at once
+    # argsort and its scatter of all 2 x records ids at once. The node
+    # columns are copied and sorted one at a time, 8 bytes a record where
+    # both at once took 16, and their distinct ids joined
     layer_ids = _sorted_distinct(layer.copy())
-    node_ids = _sorted_distinct(np.concatenate([u, v]))
-    n = node_ids.size
-    shape = (layer_ids.size, n, n)
+    node_ids = _sorted_distinct(
+        np.concatenate([_sorted_distinct(u.copy()), _sorted_distinct(v.copy())])
+    )
+    L, n = layer_ids.size, node_ids.size
     # a sum of positive weights is positive: every named cell is an edge
     weighted = not (binarize and (weight > 0).all())
     layer_index = _index_in(layer_ids, layer)
     i, j = _index_in(node_ids, u), _index_in(node_ids, v)
     # the columns are views of loadtxt's records; dropping them frees the
-    # records before the stack is allocated. The weights are copied out of
-    # them when kept, and dropped below when not
-    if weighted:
-        weight = np.ascontiguousarray(weight)
+    # records before the cells are made. The weights are copied out of them
+    # when kept
+    weight = np.ascontiguousarray(weight) if weighted else None
     del layer, u, v
-    # each record names the cell (i, j), then (j, i); a binary stack takes
-    # its cells as int32 while every flat index fits, 8 bytes a record
-    compact = not weighted and shape[0] * n * n < CELL_INT32_BOUND
+    # each record names the cell (i, j), then (j, i), at the flat index
+    # (l * n + i) * n + j of the (L, n, n) stack. A binary read takes them as
+    # int32 while every flat index fits, 8 bytes a record; np.add.at would
+    # copy int32 indices to intp
+    compact = not weighted and L * n * n < CELL_INT32_BOUND
     cells = np.empty((i.size, 2), dtype=np.int32 if compact else np.int64)
-    np.multiply(i, n, out=cells[:, 0])
-    cells[:, 0] += j
-    np.multiply(j, n, out=cells[:, 1])
-    cells[:, 1] += i
-    del i, j
-    layer_index *= n * n
-    cells += layer_index[:, None]
-    del layer_index
-    if not weighted:
-        del weight
-        layers = np.zeros(shape, dtype=np.uint8)
-        # numpy casts an int32 index to intp in small buffered chunks
-        layers.reshape(-1)[cells] = 1
-        del cells
-        if drop_self_loops:  # only a self-loop names a diagonal cell
-            layers.reshape(shape[0], -1)[:, :: n + 1] = 0
-    else:
+    for cell, a, b in ((cells[:, 0], i, j), (cells[:, 1], j, i)):
+        np.multiply(layer_index, n, out=cell, dtype=cells.dtype)
+        cell += a
+        cell *= n
+        cell += b
+    del layer_index, i, j, cell, a, b
+    if weighted:
         # a self-loop names its cell once, and not at all when dropped
         off_diagonal = cells[:, 0] != cells[:, 1]
         keep = np.column_stack([off_diagonal | (not drop_self_loops), off_diagonal])
         cells = cells[keep]
         weight = np.repeat(weight, keep.sum(axis=1))
+        del off_diagonal, keep
+    if n > aggregate.DENSE_EIG_LIMIT:
+        cells, values = _stored_cells(cells, weight, L, n, binarize, drop_self_loops)
+        del weight
+        layers = aggregate.csr_arrays(aggregate.csr_parts(cells, values, L, n), n)
+    elif not weighted:
+        layers = np.zeros((L, n, n), dtype=np.uint8)
+        # numpy casts an int32 index to intp in small buffered chunks
+        layers.reshape(-1)[cells] = 1
+        del cells
+        if drop_self_loops:  # only a self-loop names a diagonal cell
+            layers.reshape(L, -1)[:, :: n + 1] = 0
+    else:
         # every cell sums its weights in file order
-        layers = np.zeros(shape)
+        layers = np.zeros((L, n, n))
         with np.errstate(over="ignore"):
             np.add.at(layers.reshape(-1), cells, weight)
         del cells, weight
@@ -296,14 +348,23 @@ def write_multiplex_edges(data: MultiplexData, path) -> None:
     """Write layers back as an edge list (upper triangle, 1-based layer ids)."""
     net = data.network
     n = net.n
-    cell = np.flatnonzero(net.layers.view(bool) if net.binary else net.layers)
-    row, j = np.divmod(cell, n)  # row = layer * n + i
+    if net.csr:  # each layer's stored entries in row-major order
+        row = np.concatenate([
+            l * n + np.repeat(np.arange(n), np.diff(a.indptr))
+            for l, a in enumerate(net.layers)
+        ])
+        j = np.concatenate([a.indices for a in net.layers])
+        values = np.concatenate([a.data for a in net.layers])
+    else:
+        cell = np.flatnonzero(net.layers.view(bool) if net.binary else net.layers)
+        row, j = np.divmod(cell, n)  # row = layer * n + i
+        values = None if net.binary else net.layers.reshape(-1)[cell]
     upper = row % n <= j  # keeps the row-major order of each layer's upper triangle
     row, j = row[upper], j[upper]
     names = [f"{u}" for u in data.node_ids]
     tails = np.array(names, dtype=object)[j].tolist()
     if not net.binary:
-        weights = map("{:.10g}".format, net.layers.reshape(-1)[cell[upper]].tolist())
+        weights = map("{:.10g}".format, values[upper].tolist())
         tails = list(map(" ".join, zip(tails, weights)))
     # one "layer u " prefix per run of a row's edges, joined over its neighbours
     starts = np.flatnonzero(np.diff(row, prepend=-1)).tolist()
@@ -620,7 +681,8 @@ def _load_network(args) -> MultiplexData:
     )
     # a file with lines can still hold no edge: self-loops are dropped, and
     # binarizing drops cells whose weights sum to <= 0
-    if not data.network.layers.any():
+    net = data.network
+    if not (any(a.nnz for a in net.layers) if net.csr else net.layers.any()):
         raise EmptyNetworkError(f"{path} has no edges")
     return data
 

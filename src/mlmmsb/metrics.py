@@ -121,15 +121,19 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Average per-layer fuzzy modularity, skipping layers without edges.
 
-    Binary layers are copied into one float64 n x n buffer in turn, so a
-    product never casts the whole ``uint8`` stack at once.
+    Binary and CSR layers are copied into one float64 n x n buffer in turn,
+    so a product never casts the whole ``uint8`` stack at once, and a CSR
+    layer gives the dense layer's products bit for bit.
     """
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    buf = np.empty((net.n, net.n)) if net.binary else None
+    buf = np.empty((net.n, net.n)) if net.binary or net.csr else None
     values = []
     for layer in net.layers:
-        if buf is not None:
+        if net.csr:
+            buf.fill(0.0)  # some scipy versions add into ``out``
+            layer = layer.toarray(out=buf)
+        elif buf is not None:
             np.copyto(buf, layer)
             layer = buf
         q = _fuzzy_modularity(layer, pi_hat.rows)

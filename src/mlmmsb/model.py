@@ -7,8 +7,9 @@ membership matrix and B_l a symmetric K x K connectivity matrix.
 
 from __future__ import annotations
 
+import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -138,11 +139,28 @@ class MultiLayerNetwork:
     value. A ``uint8`` stack is 8 times smaller (16.8 MiB against 134.6 MiB
     at n=2100, L=4), but its own arithmetic wraps past 255: cast to float
     before any sum or product that can exceed that.
+
+    Above ``aggregate.DENSE_EIG_LIMIT`` nodes, where every squared aggregate
+    runs on CSR layers, the layers may instead be a sequence of L
+    ``scipy.sparse.csr_array``, as ``read_multiplex_edges`` gives there. They
+    are kept as given, in a tuple (``csr`` is then true), and must have
+    sorted, distinct column indices in each row and no stored zeros;
+    ``binary`` is true when every stored value is 1.
     """
 
-    layers: np.ndarray  # shape (L, n, n), uint8 if binary, else float64
+    layers: np.ndarray | tuple  # shape (L, n, n), uint8 if binary, else float64
+    binary: bool = field(init=False, repr=False)
 
     def __post_init__(self):
+        # a sparse array can only exist once its module has been imported
+        sparse = sys.modules.get("scipy.sparse")
+        if (
+            sparse is not None
+            and isinstance(self.layers, (list, tuple))
+            and any(sparse.issparse(a) for a in self.layers)
+        ):
+            self._check_csr(sparse)
+            return
         layers = np.asarray(self.layers)
         if layers.dtype == np.bool_:
             layers = layers.astype(np.uint8)
@@ -165,18 +183,58 @@ class MultiLayerNetwork:
                 is_binary = is_binary and bool(((a == 0) | (a == 1)).all())
         layers = layers.astype(np.uint8 if is_binary else float, copy=False)
         object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "binary", is_binary)
+
+    def _check_csr(self, sparse) -> None:
+        """The dense stack's checks, and its error messages, on CSR layers.
+
+        A layer is symmetric when its CSR arrays equal those of its
+        transpose, which ``tocsr`` gives with sorted indices.
+        """
+        from . import aggregate  # read at call time, so that a patched limit holds
+
+        layers = tuple(self.layers)
+        if not all(isinstance(a, sparse.csr_array) for a in layers):
+            raise ConfigError("sparse layers must all be scipy.sparse.csr_array")
+        n = layers[0].shape[0]
+        if any(a.shape != (n, n) for a in layers):
+            raise DimensionError("network must have shape (L, n, n)")
+        if n <= aggregate.DENSE_EIG_LIMIT:
+            raise ConfigError(
+                f"CSR layers are taken above {aggregate.DENSE_EIG_LIMIT} nodes only, "
+                f"got n={n}; pass a dense stack"
+            )
+        for a in layers:
+            if not (a.has_canonical_format and a.data.all()):
+                raise ConfigError(
+                    "CSR layers need sorted, distinct column indices and no stored zeros"
+                )
+            if not np.isfinite(a.data).all():
+                raise ConfigError("adjacency entries must be finite")
+            t = a.T.tocsr()
+            if not (
+                np.array_equal(a.indptr, t.indptr)
+                and np.array_equal(a.indices, t.indices)
+                and np.array_equal(a.data, t.data)
+            ):
+                raise ConfigError("every layer must be symmetric")
+            if (a.data < 0).any():
+                raise ConfigError("adjacency entries must be nonnegative")
+        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "binary", all((a.data == 1).all() for a in layers))
 
     @property
-    def binary(self) -> bool:
-        return self.layers.dtype == np.uint8
+    def csr(self) -> bool:
+        """True when the layers are a tuple of CSR arrays."""
+        return isinstance(self.layers, tuple)
 
     @property
     def n(self) -> int:
-        return self.layers.shape[1]
+        return self.layers[0].shape[0] if self.csr else self.layers.shape[1]
 
     @property
     def L(self) -> int:
-        return self.layers.shape[0]
+        return len(self.layers)
 
 
 @dataclass(frozen=True)

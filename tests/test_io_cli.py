@@ -7,15 +7,17 @@ import sys
 import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mlmmsb
-from mlmmsb import io_cli
+from mlmmsb import aggregate, io_cli
 from mlmmsb import (
     ConfigError,
     EmptyNetworkError,
@@ -142,16 +144,18 @@ class TestEdgeListParsing:
     @pytest.mark.parametrize(
         "n, L, records, weighted, allowance",
         [
-            # about estimate-file's size: the loadtxt records take 24 bytes
-            # each and the index columns 8 bytes each; the uint8 stack is
-            # allocated with only each record's two cell indices left, where
-            # holding the records and the columns took 67 bytes a record
-            (2100, 4, 400_000, False, 24),
-            # the same, held to its cells: int32 while L * n * n < 2**31, 8
-            # bytes a record, which numpy casts to intp in small chunks as it
-            # fills the stack; this read 8.2 bytes a record above the stack,
-            # int64 cells 16.0
-            (2100, 4, 400_000, False, 9),
+            # estimate-file's size, above DENSE_EIG_LIMIT: CSR layers and no
+            # stack. The peak is the loadtxt records (24 bytes each) beside
+            # the int32 layer and node indices (4 bytes each): this read 36.2
+            # bytes a record, where the uint8 stack beside int64 columns took
+            # 46.5; the layers keep 11.8 (int32 column indices and one
+            # buffer of ones)
+            (2100, 4, 400_000, False, 38),
+            # the largest stack, held to its cells: int32 while
+            # L * n * n < 2**31, 8 bytes a record, which numpy casts to intp
+            # in small chunks as it fills the stack; this read 8.2 bytes a
+            # record above the stack, int64 cells 16.0
+            (DENSE_EIG_LIMIT, 4, 400_000, False, 9),
             # the float64 stack is allocated with only the cell index and
             # weight of each kept (i, j) and (j, i) entry left, 32 bytes a
             # record, where holding everything took 123 bytes a record
@@ -172,6 +176,13 @@ class TestEdgeListParsing:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        if n > DENSE_EIG_LIMIT:
+            assert isinstance(layers, tuple) and len(layers) == L
+            assert all(isinstance(a, scipy.sparse.csr_array) for a in layers)
+            assert all(a.shape == (n, n) for a in layers)
+            assert all(a.indices.dtype == a.indptr.dtype == np.int32 for a in layers)
+            assert peak < allowance * records
+            return
         assert layers.shape == (L, n, n)
         assert layers.dtype == (np.float64 if weighted else np.uint8)
         assert peak < layers.nbytes + allowance * records
@@ -513,6 +524,30 @@ class TestAgainstLineLoop:
                     assert got.network.layers.dtype == want.network.layers.dtype
                     assert np.array_equal(got.network.layers, want.network.layers)
 
+    @settings(max_examples=150, deadline=None)
+    @given(text=edge_list_text())
+    def test_csr_read_matches_csr_of_the_stack(self, tmp_path_factory, text):
+        """With the limit patched to 0 every file reads into CSR layers: those
+        that ``_csr_layers`` makes of the stack it reads into at the real
+        limit, arrays and dtypes alike, or the same error."""
+        path = tmp_path_factory.mktemp("edges") / "net.edges"
+        path.write_bytes(text.encode())
+        for binarize in (True, False):
+            for drop in (True, False):
+                want = outcome(read_multiplex_edges, path, binarize, drop)
+                with mock.patch.object(aggregate, "DENSE_EIG_LIMIT", 0):
+                    got = outcome(read_multiplex_edges, path, binarize, drop)
+                    if isinstance(want, tuple):
+                        assert got == want
+                        continue
+                    reference = aggregate._csr_layers(want.network)
+                assert got.node_ids == want.node_ids
+                assert got.network.binary == want.network.binary
+                for a, b in zip(got.network.layers, reference, strict=True):
+                    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+                        assert x.dtype == y.dtype
+                        assert x.tobytes() == y.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(text=edge_list_text())
     def test_reader_matches_scanner(self, tmp_path_factory, text):
@@ -574,14 +609,16 @@ class TestIdMapping:
                 assert got.network.layers.dtype == want.network.layers.dtype
                 assert np.array_equal(got.network.layers, want.network.layers)
 
-    def test_index_matches_searchsorted(self):
-        for ids in ([5], [1, 2, 3], [10**12, 10**12 + 1], [1, 3], [1, 2**63 - 1],
-                    [2**63 - 2, 2**63 - 1]):
-            ids = np.array(ids, dtype=np.int64)
-            values = np.repeat(ids, 2)[::-1]
-            got = io_cli._index_in(ids, values)
-            assert got.dtype == np.intp
-            assert np.array_equal(got, np.searchsorted(ids, values))
+    def test_index_matches_searchsorted(self, monkeypatch):
+        for block in (io_cli._SEARCH_BLOCK, 3):  # ids that are searched, by blocks
+            monkeypatch.setattr(io_cli, "_SEARCH_BLOCK", block)
+            for ids in ([5], [1, 2, 3], [10**12, 10**12 + 1], [1, 3], [1, 2**63 - 1],
+                        [2**63 - 2, 2**63 - 1], [2, 3, 5, 7, 11]):
+                ids = np.array(ids, dtype=np.int64)
+                values = np.repeat(ids, 2)[::-1]
+                got = io_cli._index_in(ids, values)
+                assert got.dtype == np.int32
+                assert np.array_equal(got, np.searchsorted(ids, values))
 
 
 class TestLoadtxtSource:
