@@ -151,20 +151,25 @@ class TestEdgeListParsing:
             # 46.5; the layers keep 11.8 (int32 column indices and one
             # buffer of ones)
             (2100, 4, 400_000, False, 38),
-            # the largest stack, held to its cells: int32 while
-            # L * n * n < 2**31, 8 bytes a record, which numpy casts to intp
-            # in small chunks as it fills the stack; this read 8.2 bytes a
-            # record above the stack, int64 cells 16.0
+            # the largest stack, held to its stored cells: int32 while
+            # L * n * n < 2**31, at most 8 bytes a record, which numpy casts
+            # to intp in small chunks as it fills the stack; this read 8.0
+            # bytes a record above the stack, int64 cells 16.0
             (DENSE_EIG_LIMIT, 4, 400_000, False, 9),
-            # the float64 stack is allocated with only the cell index and
-            # weight of each kept (i, j) and (j, i) entry left, 32 bytes a
-            # record, where holding everything took 123 bytes a record
+            # the float64 stack is allocated with only the stored cells and
+            # their sums left, at most 24 bytes a record: this read 23.6,
+            # where holding everything took 123 bytes a record
             (1000, 2, 100_000, True, 40),
             # a stack small enough that the phase before it sets the peak:
             # the weights are copied out of the records, so the records go
-            # with the id columns; keeping them until the repeat took 43
-            # bytes a record above the stack, the copy 35
+            # with the id columns, and the cells are grouped in place by one
+            # argsort: this read 20.5 bytes a record above the stack
             (500, 2, 100_000, True, 39),
+            # weighted CSR layers: the peak is the stored cells and sums cut
+            # out beside the cells' groups, the weights, and every distinct
+            # cell and sum: this read 64.9 bytes a record, where np.unique's
+            # inverse over int64 cells took 129.6
+            (2100, 4, 400_000, True, 70),
         ],
     )
     def test_records_freed_before_the_stack(self, tmp_path, n, L, records, weighted, allowance):
@@ -187,19 +192,28 @@ class TestEdgeListParsing:
         assert layers.dtype == (np.float64 if weighted else np.uint8)
         assert peak < layers.nbytes + allowance * records
 
-    @pytest.mark.parametrize("drop_self_loops", [True, False])
-    def test_int64_cells_fill_the_same_stack(self, tmp_path, monkeypatch, drop_self_loops):
+    @pytest.mark.parametrize(
+        "weighted, drop_self_loops",
+        [(False, True), (False, False), (True, True), (True, False)],
+        ids=["True", "False", "weighted-True", "weighted-False"],
+    )
+    def test_int64_cells_fill_the_same_stack(
+        self, tmp_path, monkeypatch, weighted, drop_self_loops
+    ):
         n, L, records = 300, 3, 20_000
         path = tmp_path / "net.edges"
-        write_random_edges(path, n, L, records, weighted=False)
+        write_random_edges(path, n, L, records, weighted)
+        w = " 0.7" if weighted else ""
         with path.open("a") as handle:  # self-loops and a repeated line
-            handle.write("".join(f"{1 + v % L} {v} {v}\n" for v in range(1, n + 1, 7)))
-            handle.write("1 1 2\n1 2 1\n1 1 2\n")
-        want = read_multiplex_edges(path, drop_self_loops=drop_self_loops).network.layers
+            handle.write("".join(f"{1 + v % L} {v} {v}{w}\n" for v in range(1, n + 1, 7)))
+            handle.write(f"1 1 2{w}\n1 2 1{w}\n1 1 2{w}\n")
+        options = {"binarize": not weighted, "drop_self_loops": drop_self_loops}
+        want = read_multiplex_edges(path, **options).network.layers
         # L * n * n reaches the bound: the int64 fallback
         monkeypatch.setattr(io_cli, "CELL_INT32_BOUND", L * n * n)
-        got = read_multiplex_edges(path, drop_self_loops=drop_self_loops).network.layers
-        assert np.array_equal(got, want)
+        got = read_multiplex_edges(path, **options).network.layers
+        assert got.dtype == want.dtype == (np.float64 if weighted else np.uint8)
+        assert got.tobytes() == want.tobytes()
         assert want.sum() > 0
 
     def test_binarize_collapses_weights(self, tmp_path):
@@ -1181,21 +1195,26 @@ class TestCli:
 
 class TestCliInputErrors:
     @pytest.mark.parametrize(
-        "text",
-        ["1 1 2 0\n1 2 3 -1\n1 3 4 0\n", "1 1 1\n1 2 2\n2 3 3\n"],
-        ids=["non-positive-sums", "self-loops-only"],
+        "text, read",
+        [
+            ("1 1 2 0\n1 2 3 -1\n1 3 4 0\n", []),
+            ("1 1 1\n1 2 2\n2 3 3\n", []),
+            # a weighted read whose every cell is a dropped self-loop
+            ("1 1 1 2.5\n1 2 2 1\n", ["--keep-weights"]),
+        ],
+        ids=["non-positive-sums", "self-loops-only", "weighted-self-loops-only"],
     )
     @pytest.mark.parametrize(
         "command",
         [["estimate", "--k", "2"], ["select-k", "--range", "1..2"]],
         ids=["estimate", "select-k"],
     )
-    def test_network_without_edges_exit_2(self, tmp_path, capsys, text, command):
+    def test_network_without_edges_exit_2(self, tmp_path, capsys, text, read, command):
         path = tmp_path / "empty.edges"
         path.write_text(text)
         out_dir = tmp_path / "out"
         flags = ["--out-dir", str(out_dir)] if command[0] == "estimate" else []
-        code = cli_main(command + ["--data", str(path)] + flags)
+        code = cli_main(command + ["--data", str(path)] + read + flags)
         assert code == 2
         assert capsys.readouterr().err == f"error: EmptyNetworkError: {path} has no edges\n"
         assert not (out_dir / "membership.csv").exists()
