@@ -132,8 +132,12 @@ def csr_arrays(parts, n: int) -> tuple:
     A binary layer's entries are ones: every binary layer's ``data`` is a
     view of one read-only float64 buffer of ones, as long as the layer with
     the most entries, so binary layers take 4 bytes per stored entry (int32
-    indices) plus that one buffer. scipy keeps the index arrays it is
-    handed, int64 ones too, at 4 more bytes per stored entry.
+    indices) plus that one buffer. scipy copies any index or data array
+    that is a slice of less than half its base (``_prune_array``), so
+    layers cut from one buffer of cells hold copies of their slices, and
+    a binary layer with less than half the largest one's entries its own
+    ones; ``read_multiplex_edges`` frees the cell buffer once these arrays
+    exist. int64 indices stay int64, at 4 more bytes per stored entry.
     """
     import scipy.sparse
 

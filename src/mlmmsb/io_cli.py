@@ -83,7 +83,9 @@ def _atomic_write(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-_MAX_ID = 2**63 - 1  # ids are read as int64
+_MAX_ID = 2**63 - 1  # the largest int64
+# ids are read as int32 while every one is below this, else as int64
+_ID_INT32_BOUND = 2**31
 # flat cell indices are int32 while L * n * n is below this
 CELL_INT32_BOUND = 2**31
 # records per block when ids that are not contiguous are searched
@@ -133,7 +135,9 @@ def _scan_edges(handle):
             )
         for column, value in zip(columns, (layer, u, v, weight)):
             column.append(value)
-    ids = tuple(np.array(c, dtype=np.int64) for c in columns[:3])
+    # the ids are int32 when every one fits, as ``_read_columns`` parses them
+    fits = max((max(c) for c in columns[:3] if c), default=0) < _ID_INT32_BOUND
+    ids = tuple(np.array(c, dtype=np.int32 if fits else np.int64) for c in columns[:3])
     return ids + (np.array(columns[3], dtype=float),)
 
 
@@ -158,36 +162,41 @@ def _loadtxt_source(handle):
 
 
 def _read_columns(handle):
-    """(layer, u, v, weight) columns of an edge list.
+    """(layer, u, v, weight) columns of an edge list; the ids are int32 when
+    every one is below 2**31, else int64.
 
     numpy's C reader parses files whose data lines all have the width of the
-    first one; the scanner re-reads any file it refuses or whose values break
-    a format rule, so it alone decides what is accepted and raises the
-    errors.
+    first one. It is asked for int32 ids, 12 bytes a record (20 with
+    weights) where int64 ids took 24 (32), and again for int64 ids when one
+    overflows int32: an overflow on the first line fails at once, one on
+    the last line costs a whole parse (17 ms on 430k lines, 2 cores). The
+    scanner re-reads any file it refuses or whose values break a format
+    rule, so it alone decides what is accepted and raises the errors.
     """
     width = 0
     for line in handle:
         width = len(_fields(line))
         if width:
             break
-    handle.seek(0)
     if width in (3, 4):
-        try:
-            rows = np.loadtxt(
-                _loadtxt_source(handle),
-                dtype="i8,i8,i8" + ",f8" * (width - 3),
-                comments="#",
-                ndmin=1,
-            )
-        except ValueError:
-            pass
-        else:
+        for ids in ("i4", "i8"):
+            handle.seek(0)
+            try:
+                rows = np.loadtxt(
+                    _loadtxt_source(handle),
+                    dtype=",".join([ids] * 3) + ",f8" * (width - 3),
+                    comments="#",
+                    ndmin=1,
+                )
+            except ValueError:
+                continue
             layer, u, v = rows["f0"], rows["f1"], rows["f2"]
             # an absent weight column reads as ones that take no memory
             weight = rows["f3"] if width == 4 else np.broadcast_to(1.0, len(rows))
             if min(layer.min(), u.min(), v.min()) >= 1 and np.isfinite(weight).all():
                 return layer, u, v, weight
-        handle.seek(0)
+            break
+    handle.seek(0)
     return _scan_edges(handle)
 
 
@@ -225,17 +234,20 @@ def _index_in(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stored_cells(cells, weight, L: int, n: int, binarize: bool, drop_self_loops: bool):
+def _stored_cells(records: list, L: int, n: int, binarize: bool, drop_self_loops: bool):
     """The sorted distinct cells that a read stores in the (L, n, n) stack,
     with their values: None for a binary read.
 
-    ``cells`` holds each record's flat cells (i, j) and (j, i), and is
-    overwritten; ``weight`` is None for a binary read, else one weight per
-    record. A binary read sorts the cells and drops repeats. A weighted read
-    groups them by one argsort and sums each distinct cell's weights by
-    ``np.add.at``, record by record and cell by cell: every cell adds its
-    weights in file order.
+    ``records`` is the list [cells, weight], which this empties, so that the
+    caller holds neither buffer once they are spent. ``cells`` holds each
+    record's flat cells (i, j) and (j, i), and is overwritten; ``weight`` is
+    None for a binary read, else one weight per record. A binary read sorts
+    the cells and drops repeats. A weighted read groups them by one argsort
+    and sums each distinct cell's weights by ``np.add.at``, record by record
+    and cell by cell: every cell adds its weights in file order.
     """
+    cells, weight = records
+    records.clear()
     # a self-loop names its cell twice: its second cell, and its first too
     # when self-loops are dropped, go to the sentinel that sorts past them
     # all. Rows are set by index: by a mask it took 3 times as long
@@ -250,11 +262,17 @@ def _stored_cells(cells, weight, L: int, n: int, binarize: bool, drop_self_loops
     flat[:] = flat[order]
     first = np.concatenate(([True], flat[1:] != flat[:-1]))
     distinct = flat[first]
-    flat[order] = np.cumsum(first, dtype=flat.dtype) - 1
-    del order, first
+    # each cell's group, in place: beside the argsort, the cast that cumsum
+    # makes of a bool input, or a copy, would set the read's peak
+    groups = first.astype(flat.dtype)
+    np.cumsum(groups, out=groups)
+    groups -= 1
+    flat[order] = groups
+    del order, first, groups
     sums = np.zeros(distinct.size)
     with np.errstate(over="ignore"):
         np.add.at(sums, cells, weight[:, None])
+    del cells, flat, weight  # before the stored cells and sums are cut out
     if distinct[-1] == end:  # the sentinel's sum is no stored cell's
         sums[-1] = 0
     if not (binarize or np.isfinite(sums).all()):
@@ -307,9 +325,9 @@ def read_multiplex_edges(
     weighted = not (binarize and (weight > 0).all())
     layer_index = _index_in(layer_ids, layer)
     i, j = _index_in(node_ids, u), _index_in(node_ids, v)
-    # the columns are views of loadtxt's records; dropping them frees the
-    # records before the cells are made. The weights are copied out of them
-    # when kept
+    # the columns are views of loadtxt's records (12 bytes each, 20 with
+    # weights); dropping them frees the records before the cells are made.
+    # The weights are copied out of them when kept
     weight = np.ascontiguousarray(weight) if weighted else None
     del layer, u, v
     # each record names the cell (i, j), then (j, i), at the flat index
@@ -322,15 +340,16 @@ def read_multiplex_edges(
         cell *= n
         cell += b
     del layer_index, i, j, cell, a, b
-    cells, values = _stored_cells(cells, weight, L, n, binarize, drop_self_loops)
-    del weight
+    records = [cells, weight]
+    del cells, weight
+    cells, values = _stored_cells(records, L, n, binarize, drop_self_loops)
     if n > aggregate.DENSE_EIG_LIMIT:
         layers = aggregate.csr_arrays(aggregate.csr_parts(cells, values, L, n), n)
     else:
         layers = np.zeros((L, n, n), dtype=np.uint8 if values is None else float)
         # numpy casts an int32 index to intp in small buffered chunks
         layers.reshape(-1)[cells] = 1 if values is None else values
-        del cells, values  # before the network checks the stack
+    del cells, values  # the layers hold what they need: free before the checks
     return MultiplexData(
         network=MultiLayerNetwork(layers=layers), node_ids=tuple(node_ids.tolist())
     )

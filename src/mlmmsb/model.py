@@ -129,6 +129,18 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return all(np.array_equal(rows, mirror) for _, rows, mirror in _row_slabs(a))
 
 
+def _csr_is_symmetric(a) -> bool:
+    """Whether a CSR array's arrays equal those of its transpose, which
+    ``tocsr`` gives with sorted indices. The transpose is freed on return, so
+    a caller that checks layer after layer holds one at a time."""
+    t = a.T.tocsr()
+    return (
+        np.array_equal(a.indptr, t.indptr)
+        and np.array_equal(a.indices, t.indices)
+        and np.array_equal(a.data, t.data)
+    )
+
+
 @dataclass(frozen=True)
 class MultiLayerNetwork:
     """L symmetric n x n adjacency matrices sharing one node set.
@@ -186,11 +198,7 @@ class MultiLayerNetwork:
         object.__setattr__(self, "binary", is_binary)
 
     def _check_csr(self, sparse) -> None:
-        """The dense stack's checks, and its error messages, on CSR layers.
-
-        A layer is symmetric when its CSR arrays equal those of its
-        transpose, which ``tocsr`` gives with sorted indices.
-        """
+        """The dense stack's checks, and its error messages, on CSR layers."""
         from . import aggregate  # read at call time, so that a patched limit holds
 
         layers = tuple(self.layers)
@@ -211,12 +219,7 @@ class MultiLayerNetwork:
                 )
             if not np.isfinite(a.data).all():
                 raise ConfigError("adjacency entries must be finite")
-            t = a.T.tocsr()
-            if not (
-                np.array_equal(a.indptr, t.indptr)
-                and np.array_equal(a.indices, t.indices)
-                and np.array_equal(a.data, t.data)
-            ):
+            if not _csr_is_symmetric(a):
                 raise ConfigError("every layer must be symmetric")
             if (a.data < 0).any():
                 raise ConfigError("adjacency entries must be nonnegative")

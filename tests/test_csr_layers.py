@@ -9,6 +9,8 @@ squared aggregates through ``_csr_layers``'s scan, so both representations
 run the same operator.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -215,6 +217,27 @@ class TestConstructor:
         edit(a)
         with pytest.raises(ConfigError, match=message):
             MultiLayerNetwork(layers=[self.csr(self.PATH), a])
+
+    @pytest.mark.parametrize("weight", [1.0, 0.5], ids=["binary", "weighted"])
+    def test_one_transpose_alive_at_a_time(self, weight):
+        # four layers of 400 nodes: the symmetry check peaked at 1.11
+        # transposed layers, where keeping each transpose until the next
+        # one was built took 2.03
+        rng = np.random.default_rng(0)
+        layers = []
+        for _ in range(4):
+            upper = np.triu(rng.random((400, 400)) < 0.05, 1)
+            layers.append(scipy.sparse.csr_array(weight * (upper | upper.T)))
+        t = max(layers, key=lambda a: a.nnz).T.tocsr()
+        transpose = t.data.nbytes + t.indices.nbytes + t.indptr.nbytes
+        del t
+        tracemalloc.start()
+        try:
+            MultiLayerNetwork(layers=layers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * transpose
 
     def test_every_layer_csr_and_square(self):
         a = self.csr(self.PATH)

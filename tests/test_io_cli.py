@@ -124,7 +124,7 @@ class TestEdgeListParsing:
         assert peak < 8 * L * n * n / 2
 
     def test_per_record_memory(self, tmp_path):
-        # 100,000 records on 50 nodes: the loadtxt records take 24 bytes each
+        # 100,000 records on 50 nodes: the loadtxt records take 12 bytes each
         # and the stack is 5 kB, so the id lookup and the fill set the peak;
         # np.unique's inverse over both id columns took about 138 bytes a record
         records = 100_000
@@ -145,12 +145,13 @@ class TestEdgeListParsing:
         "n, L, records, weighted, allowance",
         [
             # estimate-file's size, above DENSE_EIG_LIMIT: CSR layers and no
-            # stack. The peak is the loadtxt records (24 bytes each) beside
-            # the int32 layer and node indices (4 bytes each): this read 36.2
-            # bytes a record, where the uint8 stack beside int64 columns took
-            # 46.5; the layers keep 11.8 (int32 column indices and one
-            # buffer of ones)
-            (2100, 4, 400_000, False, 38),
+            # stack. The peak is the loadtxt records (12 bytes each, int32
+            # ids) beside the int32 layer and node indices (4 bytes each):
+            # this read 24.0 bytes a record, where int64 records took 36.2.
+            # Later phases stay below it: the cell buffer is freed once
+            # scipy has copied each layer's slice of it, and the network
+            # checks one layer's transpose at a time
+            (2100, 4, 400_000, False, 26),
             # the largest stack, held to its stored cells: int32 while
             # L * n * n < 2**31, at most 8 bytes a record, which numpy casts
             # to intp in small chunks as it fills the stack; this read 8.0
@@ -165,11 +166,14 @@ class TestEdgeListParsing:
             # with the id columns, and the cells are grouped in place by one
             # argsort: this read 20.5 bytes a record above the stack
             (500, 2, 100_000, True, 39),
-            # weighted CSR layers: the peak is the stored cells and sums cut
-            # out beside the cells' groups, the weights, and every distinct
-            # cell and sum: this read 64.9 bytes a record, where np.unique's
-            # inverse over int64 cells took 129.6
-            (2100, 4, 400_000, True, 70),
+            # weighted CSR layers: the peak is the cells' grouping (the
+            # argsort, the cells, the weights, every distinct cell and each
+            # cell's group), tied with the stored cells and sums cut out of
+            # every distinct cell and sum once the caller has let go of the
+            # cells and weights: this read 49.9 bytes a record, where
+            # holding them took 64.9 and np.unique's inverse over int64
+            # cells 129.6
+            (2100, 4, 400_000, True, 53),
         ],
     )
     def test_records_freed_before_the_stack(self, tmp_path, n, L, records, weighted, allowance):
@@ -577,6 +581,44 @@ class TestAgainstLineLoop:
         for a, b in zip(fast, slow):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "big, where, dtype",
+        [
+            (2**31 - 1, "first", np.int32),
+            (2**31, "first", np.int64),
+            (2**31, "last", np.int64),
+            (2**63 - 1, "last", np.int64),
+        ],
+        ids=["int32-max", "overflow-first-line", "overflow-last-line", "int64-max"],
+    )
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_id_dtype_at_the_int32_boundary(self, tmp_path, big, where, dtype, width):
+        """Both parsers read ids as int32 when every one fits and as int64
+        otherwise, wherever the first id that overflows int32 stands; numpy
+        reads every such file, the scanner none."""
+        lines = [f"{l} {u} {u % 7 + 1}" for l, u in zip([1, 2] * 10, range(1, 21))]
+        lines[0 if where == "first" else -1] = f"1 {big} 3"
+        if width == 4:
+            lines = [f"{line} {k % 3 + 0.5}" for k, line in enumerate(lines)]
+        path = tmp_path / "net.edges"
+        path.write_text("\n".join(lines) + "\n")
+        with open(path) as handle:
+            slow = _scan_edges(handle)
+            handle.seek(0)
+            with mock.patch.object(io_cli, "_scan_edges", side_effect=AssertionError):
+                fast = _read_columns(handle)
+        for a, b in zip(fast[:3], slow[:3]):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
+        assert np.array_equal(fast[3], slow[3])
+        for binarize in (True, False):
+            got = read_multiplex_edges(path, binarize)
+            want = line_loop_reader(path, binarize, True)
+            assert got.node_ids == want.node_ids
+            assert big in got.node_ids
+            assert got.network.layers.dtype == want.network.layers.dtype
+            assert np.array_equal(got.network.layers, want.network.layers)
 
 
 def renumbered_edge_file(path, node_of, layer_of, width=4, seed=0):
