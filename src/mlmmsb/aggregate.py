@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, UnusableDataError
-from .model import ExpectationStack, MultiLayerNetwork
+from .model import MultiLayerNetwork
 
 if TYPE_CHECKING:
     import scipy.sparse.linalg
@@ -54,29 +54,28 @@ class Embedding:
         return self.vectors.shape[1]
 
 
-def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
+def _square_sum(net: MultiLayerNetwork) -> np.ndarray:
     """Sum of A_l @ A_l over layers, in float64.
 
     Each layer is cast into a float buffer first, since a ``uint8`` product
-    would wrap past 255. Binary layers are squared in float32 as A_l @ A_l.T,
-    which is A_l @ A_l for a symmetric layer and which numpy hands to BLAS
-    ``syrk``; every entry of such a square is an integer no larger than n,
-    held exactly. Their squares are added in float32 while
-    L·n < ``FLOAT32_EXACT``: each partial sum is then an integer no larger
-    than L·n, held exactly too. Weighted layers and expectation stacks are
-    squared and added in float64 as A_l @ A_l, and a sum that overflows
-    raises UnusableDataError. The float64 copy is made once the cast and
-    product buffers are gone.
+    would wrap past 255; CSR layers are densified into it one at a time.
+    Binary layers are squared in float32 as A_l @ A_l.T, which is A_l @ A_l
+    for a symmetric layer and which numpy hands to BLAS ``syrk``; every
+    entry of such a square is an integer no larger than n, held exactly.
+    Their squares are added in float32 while L·n < ``FLOAT32_EXACT``: each
+    partial sum is then an integer no larger than L·n, held exactly too.
+    Weighted layers are squared and added in float64 as A_l @ A_l, and a
+    sum that overflows raises UnusableDataError. The float64 copy is made
+    once the cast and product buffers are gone.
     """
-    n = net.n
-    binary = net.layers.dtype == np.uint8
+    n, binary = net.n, net.binary
     exact = binary and net.L * n < FLOAT32_EXACT
     total = np.zeros((n, n), np.float32 if exact else np.float64)
     cast = np.empty((n, n), np.float32 if binary else np.float64)
     product = np.empty_like(cast)
     with np.errstate(over="ignore"):
         for a in net.layers:
-            np.copyto(cast, a)
+            np.copyto(cast, a.toarray() if net.csr else a)
             total += np.matmul(cast, cast.T if binary else cast, out=product)
     del cast, product
     if not binary and not np.isfinite(total).all():
@@ -84,22 +83,21 @@ def _square_sum(net: MultiLayerNetwork | ExpectationStack) -> np.ndarray:
     return total.astype(np.float64, copy=False)
 
 
-def build_asum(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
+def build_asum(net: MultiLayerNetwork) -> AggregateMatrix:
     """Entrywise sum of all layers; a weighted sum that overflows raises
     UnusableDataError.
 
     CSR layers are added into one float64 array in layer order, entry by
     stored entry, which is the dense stack's sum bit for bit.
     """
-    binary = isinstance(net, MultiLayerNetwork) and net.binary
     with np.errstate(over="ignore"):
-        if isinstance(net, MultiLayerNetwork) and net.csr:
+        if net.csr:
             total = np.zeros((net.n, net.n))
             for a in net.layers:
                 total[np.repeat(np.arange(net.n), np.diff(a.indptr)), a.indices] += a.data
         else:
             total = net.layers.sum(axis=0, dtype=float)
-    if not binary and not np.isfinite(total).all():
+    if not net.binary and not np.isfinite(total).all():
         raise UnusableDataError("the sum of layers overflows float64")
     return AggregateMatrix(matrix=total)
 
@@ -218,14 +216,13 @@ def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
     return AggregateMatrix(matrix=out)
 
 
-def build_sos(net: MultiLayerNetwork | ExpectationStack) -> AggregateMatrix:
+def build_sos(net: MultiLayerNetwork) -> AggregateMatrix:
     """Plain sum of squared layers (no bias removal).
 
-    Above ``DENSE_EIG_LIMIT`` nodes a MultiLayerNetwork's sum is applied
-    matrix-free, as x -> sum of A_l (A_l x). An expectation stack's is formed
-    at every n, since ``spsos_oracle`` adds to its diagonal.
+    Above ``DENSE_EIG_LIMIT`` nodes it is applied matrix-free, as
+    x -> sum of A_l (A_l x).
     """
-    if isinstance(net, MultiLayerNetwork) and net.n > DENSE_EIG_LIMIT:
+    if net.n > DENSE_EIG_LIMIT:
         return AggregateMatrix(matrix=_squares_operator(net, debiased=False))
     return AggregateMatrix(matrix=_square_sum(net))
 

@@ -127,12 +127,12 @@ def spsos(net: MultiLayerNetwork, K: int) -> EstimationResult:
 
 def spsum_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     """SPSum fed the sum of expectation matrices (exact up to permutation)."""
-    return estimate(build_asum(omega), K, SPSUM)
+    return estimate(AggregateMatrix(matrix=omega.asum()), K, SPSUM)
 
 
 def spdsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     """SPDSoS fed the sum of squared expectation matrices (exact up to permutation)."""
-    return estimate(build_sos(omega), K, SPDSOS)
+    return estimate(AggregateMatrix(matrix=omega.sos()), K, SPDSOS)
 
 
 def spsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
@@ -142,7 +142,6 @@ def spsos_oracle(omega: ExpectationStack, K: int) -> EstimationResult:
     shifts the eigen-structure, so the recovered memberships carry a nonzero
     error floor even with no sampling noise.
     """
-    agg = build_sos(omega).matrix
-    for layer in omega.layers:
-        agg[np.diag_indices_from(agg)] += layer.sum(axis=1)
+    agg = omega.sos()
+    agg[np.diag_indices_from(agg)] += omega.asum().sum(axis=1)
     return estimate(AggregateMatrix(matrix=agg), K, SPSOS)

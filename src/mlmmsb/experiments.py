@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .aggregate import _square_sum, build_asum
 from .errors import ConfigError, DimensionError, UnusableDataError
 from .estimators import METHODS, build_aggregates, estimate
 from .metrics import membership_errors
@@ -188,17 +189,16 @@ def compute_diagnostics(
     the second-order (squared-matrix) deviation. The flags evaluate
     rho*n*L >= tau^2 * log(n+L) and rho^2*n^2*L >= tau_tilde^2 * log(n+L),
     with rho taken from omega.
+
+    The network's sums are formed as ``build_asum`` and ``build_sos`` form
+    them, and omega's from its factors, so no (L, n, n) array is held; a
+    weighted network whose sums overflow float64 raises UnusableDataError.
     """
-    if (net.L, net.n, net.n) != omega.layers.shape:
+    if (net.L, net.n) != (omega.L, omega.n):
         raise DimensionError("network and expectation stacks disagree on shape")
     rho, n, L = omega.rho, net.n, net.L
-    # one layer at a time, so the temporaries stay n x n
-    dev = np.zeros((n, n))
-    dev2 = np.zeros((n, n))
-    for a, o in zip(net.layers, omega.layers):
-        a = a.toarray() if net.csr else a.astype(np.float64)
-        dev += a - o
-        dev2 += a @ a - o @ o
+    dev = build_asum(net).matrix - omega.asum()
+    dev2 = _square_sum(net) - omega.sos()
     tau = float(np.abs(dev).max())
     tau_tilde = float(np.abs(dev2).max())
     log_term = math.log(n + L)

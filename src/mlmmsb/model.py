@@ -113,9 +113,6 @@ def _row_slabs(a: np.ndarray):
     square array: each slab's rows from the diagonal on, and the columns
     that mirror them. Together the slabs cover every cell on and above the
     diagonal once.
-
-    Later slabs read only rows and columns from r1 on, so a caller may
-    write rows r0:r1 and columns r0:r1 of ``a`` once it has read a slab.
     """
     n = a.shape[0]
     for r0 in range(0, n, _SLAB_ROWS):
@@ -240,22 +237,6 @@ class MultiLayerNetwork:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
-class ExpectationStack:
-    """Edge-probability matrices rho * Pi @ B_l @ Pi.T, one per layer."""
-
-    layers: np.ndarray  # shape (L, n, n)
-    rho: float
-
-    @property
-    def n(self) -> int:
-        return self.layers.shape[1]
-
-    @property
-    def L(self) -> int:
-        return self.layers.shape[0]
-
-
 def _check_k(pi: MembershipMatrix, conn: ConnectivityStack) -> None:
     if pi.K != conn.K:
         raise DimensionError(
@@ -263,34 +244,51 @@ def _check_k(pi: MembershipMatrix, conn: ConnectivityStack) -> None:
         )
 
 
-def _layer_weights(pi: MembershipMatrix, b: np.ndarray, rho: float, out: np.ndarray) -> np.ndarray:
-    """W = rho * Pi @ B_l @ Pi.T for one layer, written into ``out``."""
-    np.matmul(pi.rows @ b, pi.rows.T, out=out)
-    out *= rho
-    return out
+@dataclass(frozen=True)
+class ExpectationStack:
+    """Edge-probability matrices Omega_l = rho * Pi @ B_l @ Pi.T, one per
+    layer, held as their factors: no n x n layer is formed. The oracles and
+    ``compute_diagnostics`` read only the two sums over layers, ``asum`` and
+    ``sos``, which come from K x K products."""
 
+    pi: MembershipMatrix
+    conn: ConnectivityStack
 
-def _upper_slabs(w: np.ndarray):
-    """Yield (r0, s) with s = 0.5 * (W + W.T)[r0:r1, r0:] for row slabs of W.
+    def __post_init__(self):
+        _check_k(self.pi, self.conn)
 
-    A slab reads only rows and columns from r0 on, so a caller may write
-    rows r0:r1 and columns r0:r1 of ``w`` itself once it holds the slab.
-    """
-    for r0, rows, mirror in _row_slabs(w):
-        yield r0, 0.5 * (rows + mirror)
+    @property
+    def rho(self) -> float:
+        return self.conn.rho
+
+    @property
+    def n(self) -> int:
+        return self.pi.n
+
+    @property
+    def L(self) -> int:
+        return self.conn.L
+
+    def _outer(self, core: np.ndarray) -> np.ndarray:
+        """Pi @ core @ Pi.T for a K x K core, symmetrised exactly as 0.5 * (M + M.T)."""
+        m = self.pi.rows @ core @ self.pi.rows.T
+        return 0.5 * (m + m.T)
+
+    def asum(self) -> np.ndarray:
+        """sum_l Omega_l = rho * Pi (sum_l B_l) Pi.T, an n x n array."""
+        return self._outer(self.rho * self.conn.matrices.sum(axis=0))
+
+    def sos(self) -> np.ndarray:
+        """sum_l Omega_l @ Omega_l = rho^2 * Pi (sum_l B_l G B_l) Pi.T, G = Pi.T @ Pi."""
+        b = self.conn.matrices
+        gram = self.pi.rows.T @ self.pi.rows
+        return self._outer(self.rho**2 * (b @ gram @ b).sum(axis=0))
 
 
 def expected_adjacency(pi: MembershipMatrix, conn: ConnectivityStack) -> ExpectationStack:
     """Edge-probability stack with layer l equal to rho * Pi @ B_l @ Pi.T,
-    symmetrised exactly against round-off as 0.5 * (W + W.T)."""
-    _check_k(pi, conn)
-    omega = np.empty((conn.L, pi.n, pi.n))
-    for omega_l, b in zip(omega, conn.matrices):
-        for r0, s in _upper_slabs(_layer_weights(pi, b, conn.rho, omega_l)):
-            r1 = r0 + len(s)
-            omega_l[r0:r1, r0:] = s
-            omega_l[r0:, r0:r1] = s.T
-    return ExpectationStack(layers=omega, rho=conn.rho)
+    held as its factors; a K that differs between them raises DimensionError."""
+    return ExpectationStack(pi, conn)
 
 
 def _layer_seed(seed: int, layer: int) -> np.random.Generator:
@@ -337,7 +335,10 @@ def sample_mlmmsb(
     w = np.empty((n, n))
     for l, (layer, b) in enumerate(zip(layers, conn.matrices)):
         rng = _layer_seed(seed, l)
-        for r0, p in _upper_slabs(_layer_weights(pi, b, conn.rho, w)):
+        np.matmul(pi.rows @ b, pi.rows.T, out=w)
+        w *= conn.rho
+        for r0, rows, mirror in _row_slabs(w):
+            p = 0.5 * (rows + mirror)
             cells = mask[: len(p), : n - r0]
             p = p[cells]
             layer[r0 : r0 + len(cells), r0:][cells] = rng.random(p.size) < p

@@ -39,7 +39,8 @@ from mlmmsb.estimators import (
     estimate,
     estimate_from_embedding,
 )
-from mlmmsb.model import ExpectationStack
+
+from conftest import einsum_expectation, population_sums, relative_error
 
 PATH_3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
 
@@ -57,12 +58,8 @@ class TestBuilders:
 
     @pytest.mark.parametrize(
         "stack",
-        [
-            lambda: net_of(1e308 * PATH_3, 1e308 * PATH_3),
-            # an ExpectationStack has no ``binary``: the check reads the dtype
-            lambda: ExpectationStack(layers=np.full((2, 3, 3), 1e308), rho=1.0),
-        ],
-        ids=["weighted", "expectation"],
+        [lambda: net_of(1e308 * PATH_3, 1e308 * PATH_3)],
+        ids=["weighted"],
     )
     def test_asum_overflow_raises(self, stack):
         with pytest.raises(UnusableDataError, match="sum of layers overflows"):
@@ -149,9 +146,11 @@ class TestSquaresAgainstFloat64:
         assert np.array_equal(build_sos(net).matrix, float64_square_sum(net.layers))
 
     def test_expectation_sos_equals_float64_loop(self):
+        # the reference expectation stack, as a weighted network
         pi = generate_membership(61, 3, 10, seed=3)
-        omega = expected_adjacency(pi, generate_connectivity(3, 4, seed=4, rho=0.3))
-        assert np.array_equal(build_sos(omega).matrix, float64_square_sum(omega.layers))
+        omega = einsum_expectation(pi, generate_connectivity(3, 4, seed=4, rho=0.3))
+        net = MultiLayerNetwork(layers=omega)
+        assert np.array_equal(build_sos(net).matrix, float64_square_sum(omega))
 
     # binary layers are always squared in float32; the parameter keeps that in the test id
     @pytest.mark.parametrize("squares", ["float32"])
@@ -312,8 +311,10 @@ class TestSquaresOperator:
 
     def test_expectation_stack_stays_formed(self):
         pi = generate_membership(N_ABOVE, 3, 100, seed=5)
-        omega = expected_adjacency(pi, generate_connectivity(3, 1, seed=6, rho=0.3))
-        assert isinstance(build_sos(omega).matrix, np.ndarray)
+        conn = generate_connectivity(3, 1, seed=6, rho=0.3)
+        sos = expected_adjacency(pi, conn).sos()
+        assert isinstance(sos, np.ndarray)
+        assert relative_error(sos, population_sums(pi, conn)[1]) <= 1e-12
 
     @pytest.mark.parametrize("method", ["spdsos", "spsos"])
     def test_estimate_matches_formed_matrix(self, above, method):
@@ -582,8 +583,7 @@ class TestIdealSimplex:
     def test_population_sum_embedding_lies_on_simplex(self):
         pi = generate_membership(60, 3, 10, seed=7)
         conn = generate_connectivity(3, 8, seed=8, rho=0.6)
-        omega = expected_adjacency(pi, conn)
-        emb = top_k_eigen(build_asum(omega), 3)
+        emb = top_k_eigen(AggregateMatrix(population_sums(pi, conn)[0]), 3)
         pure = np.arange(3) * 10
         recon = pi.rows @ emb.vectors[pure, :]
         assert np.max(np.abs(emb.vectors - recon)) < 1e-8
@@ -591,8 +591,7 @@ class TestIdealSimplex:
     def test_population_sos_embedding_lies_on_simplex(self):
         pi = generate_membership(60, 3, 10, seed=9)
         conn = generate_connectivity(3, 8, seed=10, rho=0.6)
-        omega = expected_adjacency(pi, conn)
-        emb = top_k_eigen(build_sos(omega), 3)
+        emb = top_k_eigen(AggregateMatrix(population_sums(pi, conn)[1]), 3)
         pure = np.arange(3) * 10
         recon = pi.rows @ emb.vectors[pure, :]
         assert np.max(np.abs(emb.vectors - recon)) < 1e-8

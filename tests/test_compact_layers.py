@@ -28,6 +28,8 @@ from mlmmsb import estimators
 from mlmmsb.estimators import build_aggregates
 from mlmmsb.io_cli import MultiplexData, write_multiplex_edges
 
+from conftest import einsum_expectation
+
 N = 300
 DENSITIES = (0.95, 0.5, 0.03)
 
@@ -132,15 +134,15 @@ def test_modularity(net):
 
 def test_diagnostics(net):
     pi = generate_membership(N, 3, 50, seed=1)
-    omega = expected_adjacency(pi, generate_connectivity(3, len(DENSITIES), seed=2))
+    conn = generate_connectivity(3, len(DENSITIES), seed=2)
     dev = np.zeros((N, N))
     dev2 = np.zeros((N, N))
-    for a, o in zip(float_layers(net), omega.layers):
+    for a, o in zip(float_layers(net), einsum_expectation(pi, conn)):
         dev += a - o
         dev2 += a @ a - o @ o
-    diag = compute_diagnostics(net, omega)
-    assert diag.tau == float(np.abs(dev).max())
-    assert diag.tau_tilde == float(np.abs(dev2).max())
+    diag = compute_diagnostics(net, expected_adjacency(pi, conn))
+    assert diag.tau == pytest.approx(float(np.abs(dev).max()), rel=1e-12)
+    assert diag.tau_tilde == pytest.approx(float(np.abs(dev2).max()), rel=1e-12)
 
 
 def test_edge_list_writer(net, tmp_path):

@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mlmmsb import (
     MultiLayerNetwork,
+    compute_diagnostics,
     expected_adjacency,
     generate_connectivity,
     generate_membership,
@@ -43,6 +45,27 @@ class TestOracles:
         pi, conn = instance(seed=12)
         result = spsos_oracle(expected_adjacency(pi, conn), 3)
         assert membership_errors(result.pi_hat, pi).hamming > 1e-6
+
+
+class TestNoStack:
+    """No L x n x n array: the oracles and the diagnostics read the
+    expectation's population sums from its factors."""
+
+    @pytest.mark.parametrize("which", ["spdsos_oracle", "compute_diagnostics"])
+    def test_peak_below_a_quarter_of_the_stack(self, which):
+        pi, conn = instance(n=300, n0=60, L=60, rho=0.3, seed=5)
+        net = sample_mlmmsb(pi, conn, seed=6)
+        calls = {
+            "spdsos_oracle": lambda: spdsos_oracle(expected_adjacency(pi, conn), 3),
+            "compute_diagnostics": lambda: compute_diagnostics(net, expected_adjacency(pi, conn)),
+        }
+        tracemalloc.start()
+        try:
+            calls[which]()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * conn.L * pi.n**2 / 4
 
 
 class TestContracts:

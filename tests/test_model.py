@@ -10,6 +10,7 @@ from mlmmsb import (
     ConnectivityStack,
     DegeneracyWarning,
     DimensionError,
+    ExpectationStack,
     MembershipMatrix,
     MultiLayerNetwork,
     expected_adjacency,
@@ -18,6 +19,8 @@ from mlmmsb import (
     sample_mlmmsb,
 )
 from mlmmsb.model import _SLAB_ROWS, _is_symmetric
+
+from conftest import einsum_expectation, population_sums, relative_error
 
 
 def stack(mats, rho=1.0):
@@ -206,17 +209,21 @@ class TestExpectedAdjacency:
     def test_identity_case(self):
         pi = MembershipMatrix(rows=np.eye(2))
         omega = expected_adjacency(pi, stack([np.eye(2)]))
-        assert np.allclose(omega.layers[0], np.eye(2))
+        assert np.allclose(omega.asum(), np.eye(2))
+        assert np.allclose(omega.sos(), np.eye(2))
 
     def test_zero_rho_gives_zero_layers(self):
         pi = MembershipMatrix(rows=np.eye(2))
         omega = expected_adjacency(pi, stack([np.ones((2, 2))], rho=0.0))
-        assert np.all(omega.layers == 0)
+        assert np.all(omega.asum() == 0)
+        assert np.all(omega.sos() == 0)
 
     def test_mixed_row_hand_product(self):
         pi = MembershipMatrix(rows=np.array([[1, 0], [0, 1], [0.5, 0.5]]))
         omega = expected_adjacency(pi, stack([np.eye(2)]))
-        assert np.allclose(omega.layers[0][2], [0.5, 0.5, 0.5])
+        assert np.allclose(omega.asum()[2], [0.5, 0.5, 0.5])
+        # row 2 of Omega is all 0.5, so row 2 of its square is half its column sums
+        assert np.allclose(omega.sos()[2], [0.75, 0.75, 0.75])
 
     def test_dimension_mismatch(self):
         pi = MembershipMatrix(rows=np.eye(3))
@@ -227,14 +234,30 @@ class TestExpectedAdjacency:
         pi = generate_membership(30, 3, 5, seed=0)
         conn = generate_connectivity(3, 4, seed=1, rho=0.3)
         omega = expected_adjacency(pi, conn)
-        assert omega.layers.min() >= 0
-        assert omega.layers.max() <= 0.3 + 1e-12
+        assert omega.asum().min() >= 0
+        assert omega.asum().max() <= conn.L * 0.3 + 1e-12
+        assert (omega.L, omega.n, omega.rho) == (4, 30, 0.3)
 
 
-def einsum_expectation(pi, conn):
-    """Reference expectation stack from one three-operand einsum."""
-    omega = conn.rho * np.einsum("ik,lkm,jm->lij", pi.rows, conn.matrices, pi.rows)
-    return 0.5 * (omega + omega.transpose(0, 2, 1))
+class TestExpectationSums:
+    """The two population sums come from the factors, never the stack."""
+
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("K", [2, 3, 5])
+    def test_sums_match_reference_stack(self, K, rho):
+        pi = generate_membership(97, K, 6, seed=K)
+        conn = generate_connectivity(K, 7, seed=K + 2, rho=rho)
+        omega = ExpectationStack(pi, conn)
+        want_sum, want_sos = population_sums(pi, conn)
+        for got, want in ((omega.asum(), want_sum), (omega.sos(), want_sos)):
+            assert got.shape == (97, 97)
+            assert np.array_equal(got, got.T)
+            assert relative_error(got, want) <= 1e-13
+
+    def test_direct_construction_checks_k(self):
+        pi = generate_membership(20, 3, 2, seed=0)
+        with pytest.raises(DimensionError):
+            ExpectationStack(pi, generate_connectivity(2, 3, seed=1))
 
 
 def einsum_sample(pi, conn, seed, allow_self_loops):
@@ -269,18 +292,18 @@ class TestAgainstEinsum:
     def test_expectation_symmetric_and_close(self, K):
         pi = generate_membership(83, K, 7, seed=K)
         conn = generate_connectivity(K, 5, seed=K + 1, rho=0.7)
-        omega = expected_adjacency(pi, conn).layers
-        assert np.array_equal(omega, omega.transpose(0, 2, 1))
-        assert np.max(np.abs(omega - einsum_expectation(pi, conn))) <= 1e-15
+        omega = expected_adjacency(pi, conn)
+        for got, want in zip((omega.asum(), omega.sos()), population_sums(pi, conn)):
+            assert np.array_equal(got, got.T)
+            assert relative_error(got, want) <= 1e-14
 
     @pytest.mark.parametrize("n, K", SLAB_SIZES)
     def test_expectation_equals_whole_matrix_symmetrisation(self, n, K):
         pi = generate_membership(n, K, n // (2 * K), seed=n)
         conn = generate_connectivity(K, 3, seed=K, rho=0.6)
-        omega = expected_adjacency(pi, conn).layers
-        for layer, b in zip(omega, conn.matrices):
-            w = conn.rho * (pi.rows @ b @ pi.rows.T)
-            assert layer.tobytes() == (0.5 * (w + w.T)).tobytes()
+        omega = expected_adjacency(pi, conn)
+        for got, want in zip((omega.asum(), omega.sos()), population_sums(pi, conn)):
+            assert relative_error(got, want) <= 1e-12
 
 
 class TestSampler:
@@ -342,13 +365,12 @@ class TestSampler:
         # per-entry Monte Carlo: mean over R draws within 4 binomial sd for 95%+
         pi = generate_membership(6, 2, 2, seed=0)
         conn = generate_connectivity(2, 1, seed=1, rho=0.8)
-        omega = expected_adjacency(pi, conn)
+        p = einsum_expectation(pi, conn)[0]
         R = 600
         acc = np.zeros((6, 6))
         for r in range(R):
             acc += sample_mlmmsb(pi, conn, seed=10_000 + r).layers[0]
         mean = acc / R
-        p = omega.layers[0]
         sd = np.sqrt(np.maximum(p * (1 - p), 1e-12) / R)
         ok = np.abs(mean - p) <= 4 * sd
         assert ok.mean() >= 0.95
