@@ -11,13 +11,13 @@ PYTHONPATH and writes into OUT_DIR:
   second 128-row slab;
 - ``estimate`` membership and node CSVs: all three methods on the dense
   and on the Lanczos input, spdsos and spsos at ``--k 5`` on the Lanczos
-  input, where lambda_K lies in the noise bulk and the tie note's deflated
-  solve runs its tol 1e-5 rung, the self-loop, duplicate-line, weighted and
-  zero/negative-weight files, which the script derives from the dense
-  input, spdsos with ``--keep-weights`` on the weighted file, and spdsos
-  on two renumberings of the Lanczos input: one with node ids 1000..3099
-  (contiguous, mapped by offset) and one with node ids 3v + 10**12 and
-  layer ids l * 10**9 (gapped, mapped by search);
+  input, where lambda_K lies in the noise bulk and the Lanczos solve
+  takes the most steps to settle the K/K+1 gap, the self-loop,
+  duplicate-line, weighted and zero/negative-weight files, which the
+  script derives from the dense input, spdsos with ``--keep-weights`` on
+  the weighted file, and spdsos on two renumberings of the Lanczos input:
+  one with node ids 1000..3099 (contiguous, mapped by offset) and one with
+  node ids 3v + 10**12 and layer ids l * 10**9 (gapped, mapped by search);
 - ``estimate`` on the same three variants derived from the Lanczos input,
   which read into CSR layers: spsos, spdsos and spsum with
   ``--keep-weights`` on the weighted file, spdsos with and without

@@ -14,6 +14,8 @@ if TYPE_CHECKING:
     import scipy.sparse.linalg
 
 DENSE_EIG_LIMIT = 2048
+# the Lanczos solver's step budget
+LANCZOS_STEPS = 1000
 # float32 holds every integer up to 2**24 exactly
 FLOAT32_EXACT = 2**24
 # CSR layers index their entries with int32 while n * n is below this
@@ -255,98 +257,95 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.negative(out, out=out, where=peak < 0)
 
 
-def _lanczos(matrix, K: int, tie_note: bool):
-    """The K largest-magnitude eigenpairs of a symmetric array or operator,
-    and, when ``tie_note`` is set, an estimate of eigenvalue K+1 for the tie
-    note (otherwise an empty tuple).
+def _lanczos(matrix, K: int):
+    """The K + 1 largest-magnitude Ritz pairs of a symmetric array or
+    operator, ordered as ``top_k_eigen`` orders them, from one Lanczos solve
+    with full reorthogonalisation (Golub & Van Loan, section 10.1).
 
-    ARPACK solves for K pairs only: asking it for K+1 spends most of its
-    products on the (K+1)th, which lies at the edge of the noise bulk. That
-    value comes instead from one more solve, for the largest-magnitude
-    eigenvalue of the matrix deflated by the K pairs, to a relative
-    accuracy tol of 1e-1 on a 6-vector Krylov basis. The solve is repeated
-    at tol 1e-5, then 1e-10, on the default basis, only while
-    |lambda_K| - |lambda_K+1| is within 2 * tol * |lambda_K+1| plus the tie
-    note's bound. A clear gap costs one coarse solve: 7 products at K = 3 on
-    ``simulate``d n = 2100, L = 4 networks, where tol 1e-2 on the default
-    basis took 21-41; a gap under about 20% of |lambda_K+1| goes on to
-    1e-5. When lambda_K itself lies in the noise bulk, as for an
-    ``estimate --k`` past the community count, the gap is usually settled
-    at 1e-5, which takes 55-65% of the products of a 1e-10 solve.
+    The basis grows by rows from ``default_rng(0).uniform(-1, 1, n)``, each
+    orthogonalised twice against the others. Every 5 steps T is diagonalised;
+    pair i's residual is beta * |s_i| (beta the last coupling, s_i the last
+    entry of T's eigenvector i). The solve stops once the top K residuals are
+    within 1e-10 * |theta_1| and pair K+1's is too, or the gap |theta_K| -
+    |theta_K+1| less that residual exceeds the bound. A spent Krylov space goes
+    on from a fresh vector of the same generator, and T splits into one block
+    per start vector. A spent block holds, in exact arithmetic, each distinct
+    eigenvalue on the space orthogonal to the blocks before it, so from then
+    on the solve stops only at a spent block that lies within |theta_K+1| or
+    fills the space. Past ``LANCZOS_STEPS`` steps (capped at n) it raises
+    UnusableDataError.
     """
-    # importing scipy.sparse.linalg takes longer than a dense run on a small
-    # network, so only the Lanczos branch loads it; names are looked up
-    # through the module at each call, where a patched eigsh is seen
-    import scipy.sparse.linalg
-
     n = matrix.shape[0]
     if K >= n:
         raise DimensionError(f"K={K} out of range for the Lanczos solver at n={n}")
-    # a fixed start vector keeps ARPACK independent of earlier calls
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    try:
-        values, vectors = scipy.sparse.linalg.eigsh(
-            matrix, k=K, which="LM", tol=1e-10, v0=v0
-        )
-        if not tie_note:
-            return values, vectors, ()
+    rng = np.random.default_rng(0)
+    steps = min(LANCZOS_STEPS, n)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    basis = np.empty((min(steps, 32), n))
+    scale, spent = 0.0, True
+    for j in range(steps):
+        if spent:  # the start, or a fresh vector once the Krylov space is spent
+            w, start = rng.uniform(-1.0, 1.0, n), j
+            for _ in range(2):
+                w -= (basis[:j] @ w) @ basis[:j]
+        if j == len(basis):
+            basis = np.concatenate([basis, np.empty((32, n))])
+        basis[j] = w / np.linalg.norm(w)
+        done = basis[: j + 1]
+        w = matrix @ basis[j]
+        scale = max(scale, np.linalg.norm(w))
+        coeffs = done @ w
+        alpha[j] = coeffs[j]
+        w = w - coeffs @ done
+        w -= (done @ w) @ done
+        # a product the basis spans up to rounding has spent the Krylov
+        # space (scale, the largest product norm so far, is at most |lambda_1|)
+        spent = (norm := np.linalg.norm(w)) <= 1e-12 * scale
+        beta[j] = 0.0 if spent else norm
+        # mid-block, spent blocks' exact pairs would pass ahead of a missing copy
+        if j >= K and (spent or (start == 0 and ((j + 1) % 5 == 0 or j + 1 == steps))):
+            tri = np.diag(alpha[: j + 1]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+            theta, s = np.linalg.eigh(tri)
+            top = _order_by_magnitude(theta)[: K + 1]
+            residual = beta[j] * np.abs(s[j, top])  # 0 at a spent step
+            bound = 1e-10 * abs(theta[top[0]])
+            gap = abs(theta[top[K - 1]]) - abs(theta[top[K]])
+            block = np.linalg.eigvalsh(tri[start:, start:]) if spent else 0.0
+            if residual[:K].max() <= bound and (
+                residual[K] <= bound or gap - residual[K] > bound
+            ) and (j + 1 == n or np.abs(block).max() <= abs(theta[top[K]]) + bound):
+                return theta[top], done.T @ s[:, top]
+    raise UnusableDataError(f"Lanczos did not converge at K={K} in {steps} steps")
 
-        def deflated(x):
-            x = np.ravel(x)
-            return matrix @ x - vectors @ (values * (vectors.T @ x))
 
-        operator = scipy.sparse.linalg.LinearOperator(
-            (n, n), matvec=deflated, dtype=np.float64
-        )
-        magnitudes = np.abs(values)
-        for tol, ncv in ((1e-1, 6), (1e-5, None), (1e-10, None)):
-            (following,) = scipy.sparse.linalg.eigsh(
-                operator, k=1, which="LM", tol=tol, ncv=ncv, v0=v0,
-                return_eigenvectors=False,
-            )
-            margin = 2 * tol * abs(following) + 1e-10 * magnitudes.max()
-            if magnitudes.min() - abs(following) > margin:
-                break
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise UnusableDataError(
-            f"Lanczos did not converge to the top {K} eigenpairs: {exc}"
-        ) from exc
-    return values, vectors, following
-
-
-def top_k_eigen(agg: AggregateMatrix, K: int, *, _tie_note: bool = True) -> Embedding:
+def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     """Eigenpairs with the K largest absolute eigenvalues.
 
-    Uses a dense solver up to n=2048 and restarted Lanczos (magnitude mode)
-    above, for K pairs of the formed array or the matrix-free operator that
-    ``agg`` holds; eigenvalue K+1, which only the K/K+1 tie note reads,
-    comes there from a second, coarse solve (tol 1e-1) on the aggregate
-    deflated by those pairs, tightened only near a tie. A Lanczos run that
-    does not converge raises UnusableDataError.
+    Uses a dense solver up to n=2048 and, above, one Lanczos solve (see
+    ``_lanczos``) of the formed array or the matrix-free operator that
+    ``agg`` holds, for K + 1 Ritz pairs. Both paths order, slice and check
+    the K/K+1 tie the same way, and a Lanczos run that does not converge
+    raises UnusableDataError. Above the limit one start vector sees one copy
+    of an exact repeat, unless the Krylov space is spent or rounding lifts
+    another before the stop: a same-sign repeat across the K/K+1 boundary
+    may then get no tie note, and one inside the top K may be missed.
     Eigenvectors carry a deterministic sign convention: the entry of
     largest absolute value in each column is positive. On the dense path one
     ``eigh`` orders every pair and each column's sign depends on that column
     alone, so the first K pairs of a decomposition for more pairs are bit for
     bit ``top_k_eigen(agg, K)``; a Lanczos solve for more pairs converges to
     slightly other floats.
-
-    ``estimate_k``, which drops every tie note, passes the private
-    ``_tie_note=False``: the Lanczos path then skips the second solve and
-    gives no note at K, with the same pairs, order and signs. It is a
-    keyword rather than a helper so that perfbench's trace, which wraps
-    ``top_k_eigen``, still times select-k's decomposition.
     """
     n = agg.n
     if not (1 <= K <= n):
         raise DimensionError(f"K={K} out of range for n={n}")
     if n <= DENSE_EIG_LIMIT:
         values, vectors = np.linalg.eigh(agg.matrix)
-        following = ()
     else:
-        values, vectors, following = _lanczos(agg.matrix, K, _tie_note)
+        values, vectors = _lanczos(agg.matrix, K)
     order = _order_by_magnitude(values)
     return Embedding(
         vectors=_fix_signs(vectors[:, order[:K]]),
         eigenvalues=np.asarray(values[order[:K]], dtype=float),
-        warnings=_tie_notes(np.append(values[order[: K + 1]], following), K),
+        warnings=_tie_notes(values[order[: K + 1]], K),
     )

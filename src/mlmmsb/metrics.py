@@ -227,7 +227,7 @@ def estimate_k(
     agg = build_aggregate(net, method)
     asum = agg.matrix if method.upper() == SPSUM else None
     try:
-        shared = top_k_eigen(agg, k_values[-1], _tie_note=False)
+        shared = top_k_eigen(agg, k_values[-1])
     except Exception as exc:  # noqa: BLE001 - every candidate fails with it
         failed = dict.fromkeys(k_values, f"{type(exc).__name__}: {exc}")
         raise ModelSelectionError(f"all candidate K failed: {failed}") from exc

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlmmsb import (
+    ConnectivityStack,
     DimensionError,
     MembershipMatrix,
     MultiLayerNetwork,
@@ -32,6 +33,7 @@ from mlmmsb.aggregate import (
     Embedding,
     _order_by_magnitude,
     _square_sum,
+    _tie_notes,
 )
 from mlmmsb.estimators import (
     build_aggregate,
@@ -353,44 +355,103 @@ class TestSquaresOperator:
 
 
 class TestLanczosTieNote:
-    """Above the limit eigenvalue K+1 comes from a coarse deflated solve at
-    tol 1e-1 on a 6-vector basis, repeated at 1e-5 and then 1e-10 only while
-    the gap could be a tie."""
+    """Above the limit eigenvalue K+1 comes from the solve for the K pairs,
+    which runs on until the K/K+1 tie is settled."""
 
-    def run(self, monkeypatch, top):
+    def run(self, top):
         rest = np.random.default_rng(9).uniform(-1.0, 1.0, N_ABOVE - len(top))
         diagonal = scipy.sparse.diags_array(np.concatenate([top, rest]))
-        eigsh = scipy.sparse.linalg.eigsh
-        calls = []
+        return top_k_eigen(AggregateMatrix(scipy.sparse.linalg.aslinearoperator(diagonal)), 3)
 
-        def counting(matrix, k, **kwargs):
-            calls.append(k)
-            return eigsh(matrix, k, **kwargs)
+    def test_tie_gives_the_note(self):
+        assert self.run([10.0, 8.0, 6.0, -6.0]).warnings
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
-        agg = AggregateMatrix(scipy.sparse.linalg.aslinearoperator(diagonal))
-        return top_k_eigen(agg, 3), calls
+    def test_near_tie_resolved(self):
+        assert not self.run([10.0, 8.0, 6.0, -6.0 * (1 - 1e-6)]).warnings
 
-    def test_tie_gives_the_note(self, monkeypatch):
-        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, -6.0])
-        assert emb.warnings
-        assert calls == [3, 1, 1, 1]
+    def test_bulk_gap_resolved(self):
+        assert not self.run([10.0, 8.0, 6.0, -6.0 * (1 - 1e-3)]).warnings
 
-    def test_near_tie_resolved_by_the_full_solve(self, monkeypatch):
-        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, -6.0 * (1 - 1e-6)])
-        assert not emb.warnings
-        assert calls == [3, 1, 1, 1]
-
-    def test_bulk_gap_resolved_by_the_middle_solve(self, monkeypatch):
-        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, -6.0 * (1 - 1e-3)])
-        assert not emb.warnings
-        assert calls == [3, 1, 1]
-
-    def test_clear_gap_gives_none(self, monkeypatch):
-        emb, calls = self.run(monkeypatch, [10.0, 8.0, 6.0, 3.0])
+    def test_clear_gap_gives_none(self):
+        emb = self.run([10.0, 8.0, 6.0, 3.0])
         assert not emb.warnings
         assert np.allclose(emb.eigenvalues, [10.0, 8.0, 6.0], rtol=1e-10, atol=0)
-        assert calls == [3, 1]
+
+
+def subspace_gap(got, want):
+    """1 - cos of the largest principal angle between the column spans of
+    two orthonormal n x K blocks: 0 when they span the same subspace."""
+    return 1.0 - np.linalg.svd(got.T @ want, compute_uv=False).min()
+
+
+def assert_matches_eigh(agg, formed, Ks):
+    values, vectors = np.linalg.eigh(formed)
+    order = _order_by_magnitude(values)
+    for K in Ks:
+        emb = top_k_eigen(agg, K)
+        assert subspace_gap(emb.vectors, vectors[:, order[:K]]) <= 1e-8, K
+        assert np.allclose(emb.eigenvalues, values[order[:K]], rtol=1e-10, atol=0), K
+        assert emb.warnings == _tie_notes(values[order[: K + 1]], K), K
+
+
+class TestLanczosAgainstEigh:
+    """Above the limit the Lanczos solve agrees with the dense ``eigh`` of
+    the same matrix, formed here on purpose."""
+
+    @pytest.mark.parametrize("method", ["spsum", "spdsos", "spsos"])
+    def test_sampled_aggregates_at_k_3_and_6(self, above, method):
+        net, square = above
+        formed = {
+            "spsum": lambda: build_asum(net).matrix,
+            "spdsos": lambda: debiased_of(square, net),
+            "spsos": lambda: square,
+        }[method]()
+        assert_matches_eigh(build_aggregate(net, method), formed, (3, 6))
+
+    def test_spsum_near_tie(self):
+        # |lambda_3| / |lambda_4| = 1 + 6.2e-6, which no tie note covers
+        pi = generate_membership(N_ABOVE, 3, N_ABOVE // 6, seed=3)
+        net = sample_mlmmsb(pi, generate_connectivity(3, 4, seed=4, rho=0.1), seed=5)
+        agg = build_asum(net)
+        assert_matches_eigh(agg, agg.matrix, (3,))
+        emb = top_k_eigen(agg, 4)
+        assert 1 < abs(emb.eigenvalues[2] / emb.eigenvalues[3]) < 1 + 1e-5
+
+    def test_rank_two_at_k_three(self):
+        # the Krylov space is spent after three steps; the solve goes on from a
+        # fresh vector, and lambda_3 = lambda_4 = 0 gives the tie note
+        x = np.linalg.qr(np.random.default_rng(14).standard_normal((N_ABOVE, 2)))[0]
+        agg = AggregateMatrix(
+            scipy.sparse.linalg.LinearOperator(
+                (N_ABOVE, N_ABOVE), matvec=lambda v: x @ ([5.0, -3.0] * (x.T @ v)), dtype=float
+            )
+        )
+        emb = top_k_eigen(agg, 3)
+        assert np.abs(emb.vectors.T @ emb.vectors - np.eye(3)).max() < 1e-12
+        assert np.allclose(emb.eigenvalues, [5.0, -3.0, 0.0], rtol=0, atol=1e-12)
+        assert subspace_gap(emb.vectors[:, :2], x) <= 1e-12
+        assert emb.warnings
+
+    @pytest.mark.parametrize("method", ["spsum", "spdsos"])
+    def test_three_equal_cliques_at_k_three(self, method):
+        # lambda_1 = lambda_2 = lambda_3: each start vector's Krylov space is
+        # spent after one copy, so the solve needs four start vectors
+        block = np.kron(np.eye(3), np.ones((N_ABOVE // 3,) * 2)) - np.eye(N_ABOVE)
+        net = MultiLayerNetwork(layers=np.stack([block, block]).astype(np.uint8))
+        formed = {
+            "spsum": lambda: 2 * block,
+            "spdsos": lambda: debiased_of(float64_square_sum(net.layers), net),
+        }[method]()
+        assert_matches_eigh(build_aggregate(net, method), formed, (3,))
+
+    @pytest.mark.parametrize("which", ["asum", "sos"])
+    def test_balanced_oracle_at_k_three(self, which):
+        # pure, equal communities and summed B = c * I: a rank-3 aggregate
+        # whose one nonzero eigenvalue is repeated three times
+        pi = generate_membership(N_ABOVE, 3, N_ABOVE // 3, seed=1)
+        conn = ConnectivityStack(matrices=np.stack([0.3 * np.eye(3)] * 2), rho=0.5)
+        formed = getattr(expected_adjacency(pi, conn), which)()
+        assert_matches_eigh(AggregateMatrix(formed), formed, (3,))
 
 
 def imported_modules(tree):
@@ -411,9 +472,18 @@ class TestBlasThroughNumpy:
     thread pool next to numpy's: squaring with ``scipy.linalg.blas.ssyrk``
     on 2 cores slowed the select-k benchmark's ``wall_s`` from 0.31 to
     0.50 s and the sweep's from 0.58 to 1.70 s, where numpy's ``A @ A.T``
-    reaches ``ssyrk`` in numpy's own pool."""
+    reaches ``ssyrk`` in numpy's own pool. scipy's sparse eigensolvers run
+    on that bundled OpenBLAS too (ARPACK behind ``eigsh``, ``eigs`` and
+    ``svds``), and so does ``lobpcg``'s dense algebra."""
 
-    FORBIDDEN = ("scipy.linalg.blas", "scipy.linalg.lapack")
+    FORBIDDEN = (
+        "scipy.linalg.blas",
+        "scipy.linalg.lapack",
+        "scipy.sparse.linalg.eigsh",
+        "scipy.sparse.linalg.eigs",
+        "scipy.sparse.linalg.svds",
+        "scipy.sparse.linalg.lobpcg",
+    )
 
     def test_no_scipy_blas_or_lapack(self):
         package = pathlib.Path(aggregate.__file__).parent
@@ -431,6 +501,10 @@ class TestBlasThroughNumpy:
             "from scipy.linalg import lapack",
             "from scipy.linalg.blas import ssyrk",
             "import scipy.linalg\nscipy.linalg.blas.ssyrk(1.0, a)",
+            "from scipy.sparse.linalg import eigsh",
+            "import scipy.sparse.linalg\nscipy.sparse.linalg.eigs(a, 3)",
+            "from scipy.sparse.linalg import svds as truncated",
+            "import scipy.sparse.linalg\nscipy.sparse.linalg.lobpcg(a, x)",
         ],
     )
     def test_scan_sees_each_form(self, source):
@@ -489,7 +563,7 @@ class TestTopKEigen:
             top_k_eigen(AggregateMatrix(np.eye(3)), 4)
 
     def test_lanczos_needs_k_below_n(self):
-        # eigsh has no K+1 to deflate to at K = n, and cannot take a LinearOperator there
+        # the solver returns K + 1 Ritz pairs, and an n x n matrix has only n
         n = DENSE_EIG_LIMIT + 1
         with pytest.raises(DimensionError, match="Lanczos"):
             top_k_eigen(AggregateMatrix(np.eye(n)), n)
@@ -510,14 +584,10 @@ class TestTopKEigen:
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
 
     def test_lanczos_no_convergence_is_typed(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no luck", np.array([]), None)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        agg = AggregateMatrix(np.eye(DENSE_EIG_LIMIT + 1))
-        with pytest.raises(UnusableDataError) as info:
-            top_k_eigen(agg, 3)
-        assert isinstance(info.value.__cause__, scipy.sparse.linalg.ArpackNoConvergence)
+        noise = np.random.default_rng(13).standard_normal((DENSE_EIG_LIMIT + 1,) * 2)
+        monkeypatch.setattr(aggregate, "LANCZOS_STEPS", 10)
+        with pytest.raises(UnusableDataError, match="did not converge .* in 10 steps"):
+            top_k_eigen(AggregateMatrix(noise + noise.T), 3)
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(6)

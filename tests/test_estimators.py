@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mlmmsb import (
+    ConnectivityStack,
     MultiLayerNetwork,
     compute_diagnostics,
     expected_adjacency,
@@ -38,6 +39,23 @@ class TestOracles:
     def test_spdsos_oracle_exact(self):
         pi, conn = instance(seed=11)
         result = spdsos_oracle(expected_adjacency(pi, conn), 3)
+        assert membership_errors(result.pi_hat, pi).hamming < 1e-8
+
+    @pytest.mark.parametrize("oracle", [spsum_oracle, spdsos_oracle])
+    def test_oracle_exact_above_the_limit(self, oracle):
+        # rank-K population aggregates, which spend the Lanczos solve's
+        # Krylov space before its K + 1th pair
+        pi, conn = instance(n=DENSE_EIG_LIMIT + 52, n0=300, seed=13)
+        result = oracle(expected_adjacency(pi, conn), 3)
+        assert membership_errors(result.pi_hat, pi).hamming < 1e-8
+
+    @pytest.mark.parametrize("oracle", [spsum_oracle, spdsos_oracle])
+    def test_balanced_oracle_exact_above_the_limit(self, oracle):
+        # pure, equal communities and summed B = c * I: the aggregate's one
+        # nonzero eigenvalue is repeated K times
+        pi = generate_membership(DENSE_EIG_LIMIT + 52, 3, (DENSE_EIG_LIMIT + 52) // 3, 1)
+        conn = ConnectivityStack(matrices=np.stack([0.3 * np.eye(3)] * 2), rho=0.5)
+        result = oracle(expected_adjacency(pi, conn), 3)
         assert membership_errors(result.pi_hat, pi).hamming < 1e-8
 
     def test_spsos_oracle_has_error_floor(self):

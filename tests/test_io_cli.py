@@ -12,7 +12,6 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -996,10 +995,7 @@ class TestCli:
         assert not (tmp_path / "membership.csv").exists()
 
     def test_lanczos_no_convergence_exit_2(self, tmp_path, capsys, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no luck", np.array([]), None)
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(aggregate, "LANCZOS_STEPS", 10)
         path = tmp_path / "path.edges"
         n = DENSE_EIG_LIMIT + 52
         path.write_text("".join(f"1 {i} {i + 1}\n" for i in range(1, n)))

@@ -5,7 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +27,7 @@ from mlmmsb import (
     spdsos,
     top_k_eigen,
 )
-from mlmmsb import estimators, metrics
+from mlmmsb import aggregate, estimators, metrics
 from mlmmsb.aggregate import DENSE_EIG_LIMIT, Embedding
 from mlmmsb.errors import EmptyLayerWarning
 from mlmmsb.metrics import HIGHLY_MIXED, HIGHLY_PURE, NEUTRAL
@@ -492,28 +491,25 @@ class TestEstimateK:
             first = Embedding(shared.vectors[:, :k].copy(), shared.eigenvalues[:k].copy())
             exact[k] = q_fmean(net, estimators.estimate_from_embedding(first, "spsum").pi_hat)
         per_k = {k: q_fmean(net, estimators.estimate(agg, k, "spsum").pi_hat) for k in (2, 3, 4)}
-        eigsh = scipy.sparse.linalg.eigsh
+        lanczos = aggregate._lanczos
         calls = []
 
-        def counting(matrix, k, **kwargs):
-            calls.append(k)
-            return eigsh(matrix, k, **kwargs)
+        def counting(matrix, K):
+            calls.append(K)
+            return lanczos(matrix, K)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting)
+        monkeypatch.setattr(aggregate, "_lanczos", counting)
         selection = estimate_k(net, "spsum", (2, 3, 4), "fmean")
-        # the pairs for k_max only: eigenvalue k_max + 1 feeds just the tie
-        # notes, which estimate_k drops, so the deflated solve is skipped
+        # one solve, for k_max, whose first k pairs serve every candidate
         assert calls == [4]
         assert selection.scores == exact
         assert selection.scores == pytest.approx(per_k, abs=1e-9)
         assert selection.best_k == max(per_k, key=lambda k: (per_k[k], -k))
 
     def test_lanczos_decomposition_error_recorded_at_every_k(self, monkeypatch):
-        def failing(matrix, k, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
         net = self.planted_two_block(n=DENSE_EIG_LIMIT + 52, L=2, rho=0.05, seed=1)
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", failing)
+        # five steps give no sixth Ritz pair for k_max = 5
+        monkeypatch.setattr(aggregate, "LANCZOS_STEPS", 5)
         with pytest.raises(ModelSelectionError) as info:
             estimate_k(net, "spsum", [2, 3, 5])
         for k in (2, 3, 5):
