@@ -32,9 +32,12 @@ PYTHONPATH and writes into OUT_DIR:
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
 - ``experiment --config`` CSVs and SVGs for a small n sweep, a small L
-  sweep whose values include the integral float 8.0, and a small rho sweep
-  that runs SPSoS before SPDSoS, which the script writes as
-  ``sweep-n.cfg``, ``sweep-L.cfg`` and ``sweep-rho.cfg``;
+  sweep whose values include the integral float 8.0, a small rho sweep
+  that runs SPSoS before SPDSoS, and an n sweep across the dense limit
+  (n=2000 and 2100, L=4) where SPDSoS and SPSoS share one square, formed
+  below the limit and matrix-free above it, which the script writes as
+  ``sweep-n.cfg``, ``sweep-L.cfg``, ``sweep-rho.cfg`` and
+  ``sweep-n-limit.cfg``;
 - ``classify`` stdout for the dense spdsos estimate's membership CSV;
 
 plus each command's stdout, stderr and exit code in ``<name>.out``,
@@ -94,6 +97,9 @@ CONFIGS = {
     # SPSoS takes the shared square first, then SPDSoS zeroes a copy of it
     "rho": ["sweep=rho", "sweep_values=0.1,0.3", "n=80", "L=6", "n0=20", "repetitions=2",
             "methods=spsos, spdsos"],
+    # one square per network on both sides of the dense limit (2048)
+    "n-limit": ["sweep=n", "sweep_values=2000,2100", "L=4", "repetitions=1",
+                "methods=spdsos, spsos"],
 }
 
 SIMULATIONS = [

@@ -3,15 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, UnusableDataError
 from .model import MultiLayerNetwork
-
-if TYPE_CHECKING:
-    import scipy.sparse.linalg
 
 DENSE_EIG_LIMIT = 2048
 # the Lanczos solver's step budget
@@ -28,11 +24,12 @@ class AggregateMatrix:
 
     ``matrix`` is a formed array, except for the squared aggregates of a
     MultiLayerNetwork above ``DENSE_EIG_LIMIT`` nodes: there it is a
-    ``scipy.sparse.linalg.LinearOperator`` that applies the aggregate to a
-    vector without forming it, which is all the Lanczos solver needs.
+    ``_SquaresOperator``, which has a ``shape`` and applies the aggregate
+    with ``@`` to a vector or an n x k block without forming it, which is
+    all the Lanczos solver needs.
     """
 
-    matrix: np.ndarray | scipy.sparse.linalg.LinearOperator
+    matrix: np.ndarray | _SquaresOperator
 
     @property
     def n(self) -> int:
@@ -163,40 +160,63 @@ def _csr_layers(net: MultiLayerNetwork) -> tuple:
     return csr_arrays(parts, net.n)
 
 
-def _squares_operator(
-    net: MultiLayerNetwork, debiased: bool
-) -> scipy.sparse.linalg.LinearOperator:
-    """x -> sum over layers of A_l (A_l x), minus d * x when debiased, where d
-    is the diagonal of that sum: the squared aggregate as a LinearOperator on
-    the CSR layers of ``_csr_layers``, never formed.
+@dataclass(frozen=True, eq=False)
+class _SquaresOperator:
+    """x -> shift * x + the sum over layers of A_l (A_l x): a sum of squared
+    CSR layers, as ``_csr_layers`` gives them, plus a diagonal, never formed.
 
-    For symmetric layers d_i is the sum over layers and columns of a_ij^2. A
-    binary layer's share is its row's nonzero count, read off the row
-    pointers; a weighted layer's is the row sum of its squared entries. A
-    product that is not finite (weighted layers whose squares overflow
-    float64) raises UnusableDataError.
+    ``@`` takes a vector or an n x k block, and adds the layers' products
+    in layer order. A product that is not finite (weighted layers whose
+    squares overflow float64) raises UnusableDataError.
     """
-    import scipy.sparse.linalg
 
-    n = net.n
-    layers = _csr_layers(net)
-    shift = np.zeros(n)
-    if debiased:
-        for a in layers:
-            shift -= np.diff(a.indptr) if net.binary else a.multiply(a).sum(axis=1)
+    layers: tuple
+    shift: np.ndarray
 
-    def matvec(x):
-        x = np.ravel(x)
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.shift.size, self.shift.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
         # overflowing products add up to inf - inf; the check below reports them
         with np.errstate(all="ignore"):
-            y = shift * x
-            for a in layers:
+            y = (self.shift * x.T).T  # row i of x times shift_i
+            for a in self.layers:
                 y += a @ (a @ x)
         if not np.isfinite(y).all():
             raise UnusableDataError("a product with the sum of squared layers overflows float64")
         return y
 
-    return scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+
+def _sum_of_squares(net: MultiLayerNetwork) -> np.ndarray | _SquaresOperator:
+    """The sum over layers of A_l^2: formed by ``_square_sum`` up to
+    ``DENSE_EIG_LIMIT`` nodes, and above it a ``_SquaresOperator`` with no
+    shift."""
+    if net.n > DENSE_EIG_LIMIT:
+        return _SquaresOperator(_csr_layers(net), np.zeros(net.n))
+    return _square_sum(net)
+
+
+def _zero_diagonal(
+    square: np.ndarray | _SquaresOperator, net: MultiLayerNetwork, copy: bool = False
+) -> np.ndarray | _SquaresOperator:
+    """``_sum_of_squares(net)`` with its diagonal set to zero.
+
+    A formed square has its diagonal zeroed in place, or in a copy when
+    ``copy`` is set. An operator keeps its layers and gets the shift -d,
+    where d is the diagonal of the sum of squares: for symmetric layers d_i
+    is the sum over layers and columns of a_ij^2. A binary layer's share is
+    its row's nonzero count, read off the row pointers; a weighted layer's
+    is the row sum of its squared entries.
+    """
+    if isinstance(square, np.ndarray):
+        out = square.copy() if copy else square
+        np.fill_diagonal(out, 0.0)
+        return out
+    shift = square.shift.copy()
+    for a in square.layers:
+        shift -= np.diff(a.indptr) if net.binary else a.multiply(a).sum(axis=1)
+    return _SquaresOperator(square.layers, shift)
 
 
 def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
@@ -209,13 +229,9 @@ def build_ssum_debiased(net: MultiLayerNetwork) -> AggregateMatrix:
     of node i, self-loops included, so this is also the sum of A_l^2 - D_l,
     with D_l the layer-l degrees. Above ``DENSE_EIG_LIMIT`` nodes it is
     applied matrix-free, as x -> sum of A_l (A_l x) - d * x, where d is the
-    diagonal of the sum of squares.
+    diagonal of the sum of squares (see ``_zero_diagonal``).
     """
-    if net.n > DENSE_EIG_LIMIT:
-        return AggregateMatrix(matrix=_squares_operator(net, debiased=True))
-    out = _square_sum(net)
-    np.fill_diagonal(out, 0.0)
-    return AggregateMatrix(matrix=out)
+    return AggregateMatrix(matrix=_zero_diagonal(_sum_of_squares(net), net))
 
 
 def build_sos(net: MultiLayerNetwork) -> AggregateMatrix:
@@ -224,9 +240,7 @@ def build_sos(net: MultiLayerNetwork) -> AggregateMatrix:
     Above ``DENSE_EIG_LIMIT`` nodes it is applied matrix-free, as
     x -> sum of A_l (A_l x).
     """
-    if net.n > DENSE_EIG_LIMIT:
-        return AggregateMatrix(matrix=_squares_operator(net, debiased=False))
-    return AggregateMatrix(matrix=_square_sum(net))
+    return AggregateMatrix(matrix=_sum_of_squares(net))
 
 
 def _order_by_magnitude(values: np.ndarray) -> np.ndarray:

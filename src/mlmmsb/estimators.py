@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import (
-    DENSE_EIG_LIMIT,
     AggregateMatrix,
     Embedding,
+    _zero_diagonal,
     build_asum,
     build_sos,
     build_ssum_debiased,
@@ -49,18 +49,20 @@ def build_aggregates(
 ) -> Iterator[AggregateMatrix]:
     """Yield the aggregate matrix of each method id in turn.
 
-    When both run on a network of at most ``DENSE_EIG_LIMIT`` nodes, binary
-    or weighted, SPDSoS and SPSoS share one square: SPSoS gets the formed
-    sum of squares from ``build_sos``, and SPDSoS a copy with its diagonal
-    zeroed, which is what ``build_ssum_debiased`` returns. Otherwise each method calls its own
-    builder. Besides the aggregate last yielded, at most the sum is kept.
+    When both run, SPDSoS and SPSoS share one square at any size, binary or
+    weighted: SPSoS gets ``build_sos``'s sum of squares, and SPDSoS that sum
+    with its diagonal zeroed, which is what ``build_ssum_debiased`` returns.
+    A formed sum is zeroed in a copy; a matrix-free one lends its CSR layers
+    to an operator with its own shift, so the layers are scanned once.
+    Otherwise each method calls its own builder. Besides the aggregate last
+    yielded, at most the sum of squares is kept.
     """
     keys = []
     for method in methods:
         if method.upper() not in METHODS:
             raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
         keys.append(method.upper())
-    shared = net.n <= DENSE_EIG_LIMIT and {SPDSOS, SPSOS} <= set(keys)
+    shared = {SPDSOS, SPSOS} <= set(keys)
     sos = None
     for key in keys:
         if key == SPSUM:
@@ -73,9 +75,7 @@ def build_aggregates(
             if key == SPSOS:
                 yield sos
             else:
-                debiased = sos.matrix.copy()
-                np.fill_diagonal(debiased, 0.0)
-                yield AggregateMatrix(matrix=debiased)
+                yield AggregateMatrix(matrix=_zero_diagonal(sos.matrix, net, copy=True))
 
 
 def build_aggregate(net: MultiLayerNetwork, method: str) -> AggregateMatrix:

@@ -152,9 +152,10 @@ class MultiLayerNetwork:
     Above ``aggregate.DENSE_EIG_LIMIT`` nodes, where every squared aggregate
     runs on CSR layers, the layers may instead be a sequence of L
     ``scipy.sparse.csr_array``, as ``read_multiplex_edges`` gives there. They
-    are kept as given, in a tuple (``csr`` is then true), and must have
-    sorted, distinct column indices in each row and no stored zeros;
-    ``binary`` is true when every stored value is 1.
+    are kept in a tuple (``csr`` is then true), as given when their values
+    are float64 and else cast to float64, and must have sorted, distinct
+    column indices in each row and no stored zeros; ``binary`` is true when
+    every stored value is 1.
     """
 
     layers: np.ndarray | tuple  # shape (L, n, n), uint8 if binary, else float64
@@ -209,17 +210,23 @@ class MultiLayerNetwork:
                 f"CSR layers are taken above {aggregate.DENSE_EIG_LIMIT} nodes only, "
                 f"got n={n}; pass a dense stack"
             )
+        checked = []
         for a in layers:
             if not (a.has_canonical_format and a.data.all()):
                 raise ConfigError(
                     "CSR layers need sorted, distinct column indices and no stored zeros"
                 )
+            # float64 values, as a weighted dense stack holds: a uint8 square
+            # wraps past 255; float64 layers are kept as they are
+            a = a.astype(np.float64, copy=False)
             if not np.isfinite(a.data).all():
                 raise ConfigError("adjacency entries must be finite")
             if not _csr_is_symmetric(a):
                 raise ConfigError("every layer must be symmetric")
             if (a.data < 0).any():
                 raise ConfigError("adjacency entries must be nonnegative")
+            checked.append(a)
+        layers = tuple(checked)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "binary", all((a.data == 1).all() for a in layers))
 

@@ -18,9 +18,11 @@ import scipy.sparse
 from mlmmsb import (
     ConfigError,
     DimensionError,
+    MembershipMatrix,
     MultiLayerNetwork,
     aggregate,
     build_asum,
+    build_ssum_debiased,
     cli_main,
     compute_diagnostics,
     estimate_k,
@@ -194,6 +196,24 @@ class TestConstructor:
         assert aggregate._csr_layers(net) is net.layers
         weighted = MultiLayerNetwork(layers=(a, self.csr(np.multiply(self.PATH, 0.5))))
         assert weighted.csr and not weighted.binary
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, np.bool_])
+    def test_values_held_as_float64(self, dtype):
+        # a uint8 layer's squared weights wrapped past 255 in the SPDSoS
+        # shift, and q_fmean refused any layer that was not float64
+        weight = 1 if dtype is np.bool_ else 20
+        rows = np.multiply(self.PATH, weight) + np.diag([weight, 0, 0, weight])
+        want = MultiLayerNetwork(layers=[self.csr(rows), self.csr(self.PATH)])
+        net = MultiLayerNetwork(
+            layers=[scipy.sparse.csr_array(rows.astype(dtype)), self.csr(self.PATH)]
+        )
+        assert all(a.dtype == np.float64 for a in net.layers)
+        assert net.binary == want.binary == (dtype is np.bool_)
+        block = np.random.default_rng(5).standard_normal((4, 2))
+        product = build_ssum_debiased(net).matrix @ block
+        assert product.tobytes() == (build_ssum_debiased(want).matrix @ block).tobytes()
+        pi = MembershipMatrix(rows=[[1, 0], [0.5, 0.5], [0.25, 0.75], [0, 1]])
+        assert q_fmean(net, pi) == q_fmean(want, pi)
 
     def test_refused_at_or_below_the_limit(self, monkeypatch):
         monkeypatch.setattr(aggregate, "DENSE_EIG_LIMIT", 4)

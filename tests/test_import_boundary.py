@@ -112,14 +112,11 @@ def lanczos_estimate(data, method, out_dir):
     return report["scipy"]
 
 
-def test_lanczos_spsum_estimate_loads_no_sparse_linalg(big, tmp_path):
-    # SPSum's sum is a formed array, which the numpy Lanczos solver takes as it is
-    assert "scipy.sparse.linalg" not in lanczos_estimate(big, "spsum", tmp_path / "est")
-
-
-def test_lanczos_spdsos_estimate_loads_sparse_linalg(big, tmp_path):
-    # the matrix-free square loads it while building the aggregate
-    assert "scipy.sparse.linalg" in lanczos_estimate(big, "spdsos", tmp_path / "est")
+@pytest.mark.parametrize("method", ["spsum", "spdsos", "spsos"])
+def test_lanczos_estimate_loads_no_sparse_linalg(big, tmp_path, method):
+    # the numpy Lanczos solver takes SPSum's formed sum and the squares'
+    # numpy operator on CSR layers alike, with nothing but ``@``
+    assert "scipy.sparse.linalg" not in lanczos_estimate(big, method, tmp_path / "est")
 
 
 def test_experiment_loads_csgraph_and_writes(tmp_path):
