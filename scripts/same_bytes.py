@@ -25,17 +25,19 @@ PYTHONPATH and writes into OUT_DIR:
   on the zero/negative-weight file, binarised and with ``--keep-weights``
   (exit 2);
 - ``select-k`` stdout for spdsos fmean, spsos fsum, and weighted spsum fmean
-  and spdsos fmean on the dense input, spdsos fmean and spsum fsum on the
-  Lanczos input, spdsos fmean with ``--keep-weights`` on its weighted
-  variant, spdsos fsum on its offset renumbering and spsum fsum on its
-  gapped one;
+  and spdsos fmean on the dense input, spdsos fmean, spsum fsum and spsum
+  fmean on the Lanczos input, spdsos fmean with ``--keep-weights`` on its
+  weighted variant, spdsos fsum on its offset renumbering and spsum fsum on
+  its gapped one;
 - ``experiment --preset exp1-scaled --reps 2`` CSVs and SVGs at seeds 0, 7
   and 20240403;
 - ``experiment --config`` CSVs and SVGs for a small n sweep, a small L
   sweep whose values include the integral float 8.0, a small rho sweep
   that runs SPSoS before SPDSoS, and an n sweep across the dense limit
   (n=2000 and 2100, L=4) where SPDSoS and SPSoS share one square, formed
-  below the limit and matrix-free above it, which the script writes as
+  below the limit and matrix-free above it, and SPSum's sum of the sampled
+  dense stack is formed below the limit and a CSR array from one scan of
+  that stack above it, which the script writes as
   ``sweep-n.cfg``, ``sweep-L.cfg``, ``sweep-rho.cfg`` and
   ``sweep-n-limit.cfg``;
 - ``classify`` stdout for the dense spdsos estimate's membership CSV;
@@ -97,9 +99,10 @@ CONFIGS = {
     # SPSoS takes the shared square first, then SPDSoS zeroes a copy of it
     "rho": ["sweep=rho", "sweep_values=0.1,0.3", "n=80", "L=6", "n0=20", "repetitions=2",
             "methods=spsos, spdsos"],
-    # one square per network on both sides of the dense limit (2048)
+    # one square per network on both sides of the dense limit (2048), and
+    # SPSum's sum formed below it and scanned from the sampled stack above
     "n-limit": ["sweep=n", "sweep_values=2000,2100", "L=4", "repetitions=1",
-                "methods=spdsos, spsos"],
+                "methods=spdsos, spsos, spsum"],
 }
 
 SIMULATIONS = [
@@ -146,6 +149,7 @@ SELECTIONS = [
     ("weighted", "spdsos", "fmean", ["--keep-weights"]),
     ("lanczos", "spdsos", "fmean", []),
     ("lanczos", "spsum", "fsum", []),
+    ("lanczos", "spsum", "fmean", []),
     ("weighted-lanczos", "spdsos", "fmean", ["--keep-weights"]),
     ("offset-lanczos", "spdsos", "fsum", []),
     ("gapped-lanczos", "spsum", "fsum", []),

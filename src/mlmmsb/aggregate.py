@@ -22,14 +22,14 @@ CSR_INT32_BOUND = 2**31
 class AggregateMatrix:
     """A symmetric n x n matrix aggregated across layers.
 
-    ``matrix`` is a formed array, except for the squared aggregates of a
-    MultiLayerNetwork above ``DENSE_EIG_LIMIT`` nodes: there it is a
-    ``_SquaresOperator``, which has a ``shape`` and applies the aggregate
-    with ``@`` to a vector or an n x k block without forming it, which is
-    all the Lanczos solver needs.
+    ``matrix`` is a formed array up to ``DENSE_EIG_LIMIT`` nodes. Above it
+    no aggregate of a MultiLayerNetwork is formed: SPSum's sum is a scipy
+    CSR array, and the squared aggregates are a ``_SquaresOperator``. Both
+    have a ``shape`` and apply the aggregate with ``@`` to a vector or an
+    n x k block, which is all the Lanczos solver needs.
     """
 
-    matrix: np.ndarray | _SquaresOperator
+    matrix: np.ndarray | _SquaresOperator  # or a scipy.sparse.csr_array
 
     @property
     def n(self) -> int:
@@ -86,17 +86,15 @@ def build_asum(net: MultiLayerNetwork) -> AggregateMatrix:
     """Entrywise sum of all layers; a weighted sum that overflows raises
     UnusableDataError.
 
-    CSR layers are added into one float64 array in layer order, entry by
-    stored entry, which is the dense stack's sum bit for bit.
+    Up to ``DENSE_EIG_LIMIT`` nodes the sum is a formed float64 array. Above
+    it, it is the CSR array that adds ``_product_layers``' CSR arrays in
+    layer order, so each stored entry is the dense stack's sum bit for bit.
     """
+    layers = _product_layers(net)
+    dense = isinstance(layers, np.ndarray)
     with np.errstate(over="ignore"):
-        if net.csr:
-            total = np.zeros((net.n, net.n))
-            for a in net.layers:
-                total[np.repeat(np.arange(net.n), np.diff(a.indptr)), a.indices] += a.data
-        else:
-            total = net.layers.sum(axis=0, dtype=float)
-    if not net.binary and not np.isfinite(total).all():
+        total = layers.sum(axis=0, dtype=float) if dense else sum(layers[1:], layers[0])
+    if not net.binary and not np.isfinite(total if dense else total.data).all():
         raise UnusableDataError("the sum of layers overflows float64")
     return AggregateMatrix(matrix=total)
 
@@ -145,10 +143,12 @@ def csr_arrays(parts, n: int) -> tuple:
     return tuple(scipy.sparse.csr_array(part, shape=(n, n)) for part in parts)
 
 
-def _csr_layers(net: MultiLayerNetwork) -> tuple:
-    """The layers as scipy CSR arrays: a network's own CSR layers as they
-    are, or else each dense layer from one scan of it."""
-    if net.csr:
+def _product_layers(net: MultiLayerNetwork) -> np.ndarray | tuple:
+    """The layers as every layer-wise product takes them: the dense stack up
+    to ``DENSE_EIG_LIMIT`` nodes, and above it scipy CSR arrays, a network's
+    own CSR layers as they are or else each dense layer from one scan of it.
+    """
+    if net.n <= DENSE_EIG_LIMIT or net.csr:
         return net.layers
     parts = []
     for a in net.layers:
@@ -163,7 +163,7 @@ def _csr_layers(net: MultiLayerNetwork) -> tuple:
 @dataclass(frozen=True, eq=False)
 class _SquaresOperator:
     """x -> shift * x + the sum over layers of A_l (A_l x): a sum of squared
-    CSR layers, as ``_csr_layers`` gives them, plus a diagonal, never formed.
+    CSR layers from ``_product_layers`` plus a diagonal, never formed.
 
     ``@`` takes a vector or an n x k block, and adds the layers' products
     in layer order. A product that is not finite (weighted layers whose
@@ -189,12 +189,13 @@ class _SquaresOperator:
 
 
 def _sum_of_squares(net: MultiLayerNetwork) -> np.ndarray | _SquaresOperator:
-    """The sum over layers of A_l^2: formed by ``_square_sum`` up to
-    ``DENSE_EIG_LIMIT`` nodes, and above it a ``_SquaresOperator`` with no
-    shift."""
-    if net.n > DENSE_EIG_LIMIT:
-        return _SquaresOperator(_csr_layers(net), np.zeros(net.n))
-    return _square_sum(net)
+    """The sum over layers of A_l^2: formed by ``_square_sum`` on the dense
+    stack, and on CSR layers (above ``DENSE_EIG_LIMIT`` nodes) a
+    ``_SquaresOperator`` with no shift."""
+    layers = _product_layers(net)
+    if isinstance(layers, np.ndarray):
+        return _square_sum(net)
+    return _SquaresOperator(layers, np.zeros(net.n))
 
 
 def _zero_diagonal(
@@ -336,7 +337,7 @@ def top_k_eigen(agg: AggregateMatrix, K: int) -> Embedding:
     """Eigenpairs with the K largest absolute eigenvalues.
 
     Uses a dense solver up to n=2048 and, above, one Lanczos solve (see
-    ``_lanczos``) of the formed array or the matrix-free operator that
+    ``_lanczos``) of SPSum's CSR sum, the squares' operator or any array
     ``agg`` holds, for K + 1 Ritz pairs. Both paths order, slice and check
     the K/K+1 tie the same way, and a Lanczos run that does not converge
     raises UnusableDataError. Above the limit one start vector sees one copy

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -16,9 +17,12 @@ from .errors import (
     ModelSelectionError,
     UnusableDataError,
 )
-from .aggregate import Embedding, build_asum, top_k_eigen
+from .aggregate import Embedding, _product_layers, build_asum, top_k_eigen
 from .estimators import SPSUM, build_aggregate, estimate_from_embedding
 from .model import MembershipMatrix, MultiLayerNetwork
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 HIGHLY_MIXED = "HIGHLY_MIXED"
 NEUTRAL = "NEUTRAL"
@@ -76,9 +80,9 @@ def membership_errors(pi_hat: MembershipMatrix, pi_true: MembershipMatrix) -> Er
     )
 
 
-def _fuzzy_modularity(adj: np.ndarray, rows: np.ndarray) -> float | None:
-    """Fuzzy modularity of one adjacency matrix under memberships ``rows``,
-    or None when the matrix has no edges.
+def _fuzzy_modularity(adj: np.ndarray | csr_array, rows: np.ndarray) -> float | None:
+    """Fuzzy modularity of one adjacency matrix, dense or CSR, under
+    memberships ``rows``, or None when the matrix has no edges.
 
     With P = A Pi, sum(A * Pi Pi^T) = <P, Pi>. The column sums of P are
     Pi^T d, so d^T Pi Pi^T d = |Pi^T d|^2, and since each row of Pi sums to
@@ -103,8 +107,8 @@ def _fuzzy_modularity(adj: np.ndarray, rows: np.ndarray) -> float | None:
     return (math.ldexp(float(np.vdot(p, rows)), -e) - float(pd @ pd) / m) / m
 
 
-def _summed_modularity(asum: np.ndarray, pi_hat: MembershipMatrix) -> float:
-    """``q_fsum`` given the summed adjacency matrix ``asum``."""
+def _summed_modularity(asum: np.ndarray | csr_array, pi_hat: MembershipMatrix) -> float:
+    """``q_fsum`` given the summed adjacency matrix ``asum``, dense or CSR."""
     q = _fuzzy_modularity(asum, pi_hat.rows)
     if q is None:
         raise EmptyNetworkError("network has no edges")
@@ -121,21 +125,15 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Average per-layer fuzzy modularity, skipping layers without edges.
 
-    Binary and CSR layers are copied into one float64 n x n buffer in turn,
-    so a product never casts the whole ``uint8`` stack at once, and a CSR
-    layer gives the dense layer's products bit for bit.
+    Each layer is scored as ``_product_layers`` gives it: a dense layer,
+    which its product with the float64 memberships casts one ``uint8``
+    layer at a time, or above the dense limit a CSR array as it is, so no
+    n x n array is made there.
     """
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
-    buf = np.empty((net.n, net.n)) if net.binary or net.csr else None
     values = []
-    for layer in net.layers:
-        if net.csr:
-            buf.fill(0.0)  # some scipy versions add into ``out``
-            layer = layer.toarray(out=buf)
-        elif buf is not None:
-            np.copyto(buf, layer)
-            layer = buf
+    for layer in _product_layers(net):
         q = _fuzzy_modularity(layer, pi_hat.rows)
         if q is not None:
             values.append(q)

@@ -149,7 +149,7 @@ class MultiLayerNetwork:
     at n=2100, L=4), but its own arithmetic wraps past 255: cast to float
     before any sum or product that can exceed that.
 
-    Above ``aggregate.DENSE_EIG_LIMIT`` nodes, where every squared aggregate
+    Above ``aggregate.DENSE_EIG_LIMIT`` nodes, where every layer-wise product
     runs on CSR layers, the layers may instead be a sequence of L
     ``scipy.sparse.csr_array``, as ``read_multiplex_edges`` gives there. They
     are kept in a tuple (``csr`` is then true), as given when their values

@@ -51,6 +51,12 @@ def net_of(*layers):
     return MultiLayerNetwork(layers=np.array(layers, dtype=float))
 
 
+def csr_above_patched_limit(monkeypatch, *layers):
+    """The layers held as CSR arrays, with the dense limit patched below n."""
+    monkeypatch.setattr(aggregate, "DENSE_EIG_LIMIT", len(layers[0]) - 1)
+    return MultiLayerNetwork(layers=[scipy.sparse.csr_array(a) for a in layers])
+
+
 class TestBuilders:
     def test_asum_single_layer(self):
         assert np.array_equal(build_asum(net_of(PATH_3)).matrix, PATH_3)
@@ -60,12 +66,15 @@ class TestBuilders:
 
     @pytest.mark.parametrize(
         "stack",
-        [lambda: net_of(1e308 * PATH_3, 1e308 * PATH_3)],
-        ids=["weighted"],
+        [
+            lambda monkeypatch: net_of(1e308 * PATH_3, 1e308 * PATH_3),
+            lambda monkeypatch: csr_above_patched_limit(monkeypatch, *[1e308 * PATH_3] * 2),
+        ],
+        ids=["weighted", "weighted-csr"],
     )
-    def test_asum_overflow_raises(self, stack):
+    def test_asum_overflow_raises(self, monkeypatch, stack):
         with pytest.raises(UnusableDataError, match="sum of layers overflows"):
-            build_asum(stack())
+            build_asum(stack(monkeypatch))
 
     def test_asum_hand_addition(self):
         edge_13 = np.zeros((3, 3))
@@ -244,7 +253,7 @@ class TestSquaresOperator:
     @pytest.mark.parametrize("self_loops", [False, True])
     def test_int32_layers_apply_bit_for_bit(self, self_loops):
         net = binary_above(self_loops)
-        layers = aggregate._csr_layers(net)
+        layers = aggregate._product_layers(net)
         assert all(a.indices.dtype == a.indptr.dtype == np.int32 for a in layers)
         # scipy's own CSR of each float layer, summed in the operator's order
         reference = [scipy.sparse.csr_array(a.astype(float)) for a in net.layers]
@@ -264,14 +273,14 @@ class TestSquaresOperator:
         want = [build(net).matrix @ x for build in builds]
         # n * n reaches the bound: the int64 fallback
         monkeypatch.setattr(aggregate, "CSR_INT32_BOUND", net.n**2)
-        layers = aggregate._csr_layers(net)
+        layers = aggregate._product_layers(net)
         assert all(a.indices.dtype == a.indptr.dtype == np.int64 for a in layers)
         for build, product in zip(builds, want):
             assert np.array_equal(build(net).matrix @ x, product)
 
     def test_binary_layers_share_one_buffer_of_ones(self, above):
         net, _ = above
-        layers = aggregate._csr_layers(net)
+        layers = aggregate._product_layers(net)
         largest = max(layers, key=lambda a: a.nnz)
         ones = largest.data.base
         assert ones is not None and ones.shape == (largest.nnz,)
@@ -324,13 +333,13 @@ class TestSquaresOperator:
             "spsos": build_sos(net).matrix @ block,
         }
         scans = []
-        scan = aggregate._csr_layers
+        scan = aggregate._product_layers
 
         def counted(net):
             scans.append(net)
             return scan(net)
 
-        monkeypatch.setattr(aggregate, "_csr_layers", counted)
+        monkeypatch.setattr(aggregate, "_product_layers", counted)
         for method, agg in zip(order, build_aggregates(net, order)):
             assert (agg.matrix @ block).tobytes() == want[method].tobytes(), method
         assert len(scans) == 1
@@ -426,7 +435,7 @@ class TestLanczosAgainstEigh:
     def test_sampled_aggregates_at_k_3_and_6(self, above, method):
         net, square = above
         formed = {
-            "spsum": lambda: build_asum(net).matrix,
+            "spsum": lambda: build_asum(net).matrix.toarray(),
             "spdsos": lambda: debiased_of(square, net),
             "spsos": lambda: square,
         }[method]()
@@ -437,7 +446,7 @@ class TestLanczosAgainstEigh:
         pi = generate_membership(N_ABOVE, 3, N_ABOVE // 6, seed=3)
         net = sample_mlmmsb(pi, generate_connectivity(3, 4, seed=4, rho=0.1), seed=5)
         agg = build_asum(net)
-        assert_matches_eigh(agg, agg.matrix, (3,))
+        assert_matches_eigh(agg, agg.matrix.toarray(), (3,))
         emb = top_k_eigen(agg, 4)
         assert 1 < abs(emb.eigenvalues[2] / emb.eigenvalues[3]) < 1 + 1e-5
 

@@ -4,9 +4,10 @@
 The tests patch ``aggregate.DENSE_EIG_LIMIT`` down to ``LIMIT``, so that a
 small file reads into CSR layers, and compare those layers, and what every
 public function gives on them, with the dense stack that the same file reads
-into at the real limit. A dense stack above the patched limit reaches the
-squared aggregates through ``_csr_layers``'s scan, so both representations
-run the same operator.
+into at the real limit. A dense stack above the patched limit reaches every
+layer-wise product (SPSum's sum, the squares' operator and the per-layer
+modularities) through ``_product_layers``'s scan, so both representations
+run the same CSR arithmetic.
 """
 
 import tracemalloc
@@ -87,12 +88,12 @@ def assert_same_csr(got, want):
 
 def assert_reads_as_csr_layers(path, monkeypatch, **options):
     dense, csr = read_both(path, monkeypatch, **options)
-    assert_same_csr(csr.network.layers, aggregate._csr_layers(dense.network))
+    assert_same_csr(csr.network.layers, aggregate._product_layers(dense.network))
     return dense, csr
 
 
 class TestReader:
-    """The CSR read equals ``_csr_layers`` of the stack read at the real limit."""
+    """The CSR read equals ``_product_layers`` of the stack read at the real limit."""
 
     @pytest.mark.parametrize("drop_self_loops", [True, False])
     def test_repeats_and_self_loops(self, tmp_path, monkeypatch, drop_self_loops):
@@ -193,7 +194,7 @@ class TestConstructor:
         net = MultiLayerNetwork(layers=[a, a])
         assert net.csr and net.binary and (net.n, net.L) == (4, 2)
         assert all(b is a for b in net.layers)
-        assert aggregate._csr_layers(net) is net.layers
+        assert aggregate._product_layers(net) is net.layers
         weighted = MultiLayerNetwork(layers=(a, self.csr(np.multiply(self.PATH, 0.5))))
         assert weighted.csr and not weighted.binary
 
@@ -292,7 +293,7 @@ class TestPublicFunctions:
     def test_build_asum(self, request, which):
         dense, csr = request.getfixturevalue(which)
         want = build_asum(dense.network).matrix
-        assert build_asum(csr.network).matrix.tobytes() == want.tobytes()
+        assert build_asum(csr.network).matrix.toarray().tobytes() == want.toarray().tobytes()
 
     def test_q_fsum(self, weighted):
         dense, csr = weighted
@@ -305,10 +306,12 @@ class TestPublicFunctions:
         pi = estimate(build_aggregate(dense.network, "spsum"), 3, "spsum").pi_hat
         assert q_fmean(csr.network, pi) == q_fmean(dense.network, pi)
 
-    def test_estimate_k(self, weighted):
+    @pytest.mark.parametrize("method, criterion", [("spsos", "fmean"), ("spsum", "fsum")])
+    def test_estimate_k(self, weighted, method, criterion):
+        # SPSum's fsum scores every K against its own CSR aggregate
         dense, csr = weighted
-        want = estimate_k(dense.network, "spsos", [2, 3], "fmean")
-        assert estimate_k(csr.network, "spsos", [2, 3], "fmean") == want
+        want = estimate_k(dense.network, method, [2, 3], criterion)
+        assert estimate_k(csr.network, method, [2, 3], criterion) == want
 
     @pytest.mark.parametrize("which", ["binary", "weighted"])
     def test_write_multiplex_edges(self, request, tmp_path, which):
@@ -322,6 +325,32 @@ class TestPublicFunctions:
         pi = generate_membership(N, 3, 15, seed=3)
         omega = expected_adjacency(pi, generate_connectivity(3, L, seed=4, rho=0.3))
         assert compute_diagnostics(csr.network, omega) == compute_diagnostics(dense.network, omega)
+
+
+class TestNoDenseArray:
+    """Above the real limit SPSum's sum and the per-layer modularities hold
+    no n x n array: a scatter into a formed sum, or one float64 buffer for
+    the layers, takes n^2 * 8 bytes (35 MB here)."""
+
+    def test_build_asum_and_q_fmean_peaks(self):
+        n = aggregate.DENSE_EIG_LIMIT + 52
+        rng = np.random.default_rng(11)
+        layers = []
+        for _ in range(3):
+            cells = rng.integers(0, n, (2, 1000))
+            upper = scipy.sparse.coo_array((rng.uniform(0.5, 2, 1000), cells), shape=(n, n))
+            layers.append((upper + upper.T).tocsr())
+        net = MultiLayerNetwork(layers=layers)
+        assert net.csr and not net.binary and sum(a.nnz for a in layers) < 10_000
+        pi = generate_membership(n, 3, 300, seed=1)
+        for run in (lambda: build_asum(net), lambda: q_fmean(net, pi)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * n
 
 
 class TestCli:

@@ -114,7 +114,7 @@ def lanczos_estimate(data, method, out_dir):
 
 @pytest.mark.parametrize("method", ["spsum", "spdsos", "spsos"])
 def test_lanczos_estimate_loads_no_sparse_linalg(big, tmp_path, method):
-    # the numpy Lanczos solver takes SPSum's formed sum and the squares'
+    # the numpy Lanczos solver takes SPSum's CSR sum and the squares'
     # numpy operator on CSR layers alike, with nothing but ``@``
     assert "scipy.sparse.linalg" not in lanczos_estimate(big, method, tmp_path / "est")
 

@@ -545,7 +545,7 @@ class TestAgainstLineLoop:
     @given(text=edge_list_text())
     def test_csr_read_matches_csr_of_the_stack(self, tmp_path_factory, text):
         """With the limit patched to 0 every file reads into CSR layers: those
-        that ``_csr_layers`` makes of the stack it reads into at the real
+        that ``_product_layers`` makes of the stack it reads into at the real
         limit, arrays and dtypes alike, or the same error."""
         path = tmp_path_factory.mktemp("edges") / "net.edges"
         path.write_bytes(text.encode())
@@ -557,7 +557,7 @@ class TestAgainstLineLoop:
                     if isinstance(want, tuple):
                         assert got == want
                         continue
-                    reference = aggregate._csr_layers(want.network)
+                    reference = aggregate._product_layers(want.network)
                 assert got.node_ids == want.node_ids
                 assert got.network.binary == want.network.binary
                 for a, b in zip(got.network.layers, reference, strict=True):
