@@ -449,6 +449,8 @@ def read_membership_csv(path) -> MembershipMatrix:
                 line_number=lineno,
             )
         rows.append(weights)
+    if not rows:
+        raise ParseError(f"{path} has no membership rows")
     arr = np.array(rows)
     arr = arr / arr.sum(axis=1, keepdims=True)
     return MembershipMatrix(rows=arr)

@@ -29,6 +29,8 @@ class MembershipMatrix:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2:
             raise DimensionError("membership matrix must be 2-dimensional")
+        if not len(rows):
+            raise DimensionError("membership matrix must have at least one row")
         if not np.isfinite(rows).all():
             raise ConfigError("membership entries must be finite")
         if np.any(rows < -1e-15) or np.any(rows > 1 + 1e-15):
@@ -86,6 +88,7 @@ class ConnectivityStack:
         object.__setattr__(self, "matrices", mats)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise DimensionError("connectivity stack must have shape (L, K, K)")
+        check_connectivity_sizes(mats.shape[1], mats.shape[0])
         if not np.isfinite(mats).all():
             raise ConfigError("connectivity entries must be finite")
         if np.any(mats < 0) or np.any(mats > 1):
@@ -140,7 +143,7 @@ def _csr_is_symmetric(a) -> bool:
 
 @dataclass(frozen=True)
 class MultiLayerNetwork:
-    """L symmetric n x n adjacency matrices sharing one node set.
+    """L >= 1 symmetric, nonnegative n x n adjacency matrices, n >= 1.
 
     Binary layers (every entry 0 or 1) are stored as one ``uint8`` stack and
     weighted layers as one float64 stack; ``binary`` reads the dtype. The
@@ -155,7 +158,8 @@ class MultiLayerNetwork:
     are kept in a tuple (``csr`` is then true), as given when their values
     are float64 and else cast to float64, and must have sorted, distinct
     column indices in each row and no stored zeros; ``binary`` is true when
-    every stored value is 1.
+    every stored value is 1. One loop checks either kind of layer for finite,
+    symmetric and nonnegative entries, with the same messages.
     """
 
     layers: np.ndarray | tuple  # shape (L, n, n), uint8 if binary, else float64
@@ -164,71 +168,63 @@ class MultiLayerNetwork:
     def __post_init__(self):
         # a sparse array can only exist once its module has been imported
         sparse = sys.modules.get("scipy.sparse")
-        if (
+        csr = (
             sparse is not None
             and isinstance(self.layers, (list, tuple))
             and any(sparse.issparse(a) for a in self.layers)
-        ):
-            self._check_csr(sparse)
-            return
-        layers = np.asarray(self.layers)
-        if layers.dtype == np.bool_:
-            layers = layers.astype(np.uint8)
-        elif layers.dtype != np.uint8:
-            layers = np.asarray(layers, dtype=float)
-        if layers.ndim != 3 or layers.shape[1] != layers.shape[2]:
+        )
+        if csr:
+            layers = tuple(self.layers)
+            if not all(isinstance(a, sparse.csr_array) for a in layers):
+                raise ConfigError("sparse layers must all be scipy.sparse.csr_array")
+            shapes = {a.shape for a in layers}
+            shape = (len(layers), *shapes.pop()) if len(shapes) == 1 else ()
+        else:
+            layers = np.asarray(self.layers)
+            if layers.dtype == np.bool_:
+                layers = layers.astype(np.uint8)
+            elif layers.dtype != np.uint8:
+                layers = np.asarray(layers, dtype=float)
+            shape = layers.shape
+        if len(shape) != 3 or shape[1] != shape[2] or min(shape) < 1:
             raise DimensionError("network must have shape (L, n, n)")
-        # uint8 entries are finite and nonnegative; a count above 1 is a weight
-        compact = layers.dtype == np.uint8
-        is_binary = not (compact and layers.size and layers.max() > 1)
-        # one layer at a time, so the temporaries stay n x n
-        for a in layers:
-            if not compact and not np.isfinite(a).all():
-                raise ConfigError("adjacency entries must be finite")
-            if not _is_symmetric(a):
-                raise ConfigError("every layer must be symmetric")
-            if not compact:
-                if (a < 0).any():
-                    raise ConfigError("adjacency entries must be nonnegative")
-                is_binary = is_binary and bool(((a == 0) | (a == 1)).all())
-        layers = layers.astype(np.uint8 if is_binary else float, copy=False)
-        object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "binary", is_binary)
+        if csr:
+            from . import aggregate  # read at call time, so that a patched limit holds
 
-    def _check_csr(self, sparse) -> None:
-        """The dense stack's checks, and its error messages, on CSR layers."""
-        from . import aggregate  # read at call time, so that a patched limit holds
-
-        layers = tuple(self.layers)
-        if not all(isinstance(a, sparse.csr_array) for a in layers):
-            raise ConfigError("sparse layers must all be scipy.sparse.csr_array")
-        n = layers[0].shape[0]
-        if any(a.shape != (n, n) for a in layers):
-            raise DimensionError("network must have shape (L, n, n)")
-        if n <= aggregate.DENSE_EIG_LIMIT:
-            raise ConfigError(
-                f"CSR layers are taken above {aggregate.DENSE_EIG_LIMIT} nodes only, "
-                f"got n={n}; pass a dense stack"
-            )
-        checked = []
-        for a in layers:
-            if not (a.has_canonical_format and a.data.all()):
+            if shape[1] <= aggregate.DENSE_EIG_LIMIT:
+                raise ConfigError(
+                    f"CSR layers are taken above {aggregate.DENSE_EIG_LIMIT} nodes only, "
+                    f"got n={shape[1]}; pass a dense stack"
+                )
+            if not all(a.has_canonical_format and a.data.all() for a in layers):
                 raise ConfigError(
                     "CSR layers need sorted, distinct column indices and no stored zeros"
                 )
             # float64 values, as a weighted dense stack holds: a uint8 square
             # wraps past 255; float64 layers are kept as they are
-            a = a.astype(np.float64, copy=False)
-            if not np.isfinite(a.data).all():
+            layers = tuple(a.astype(np.float64, copy=False) for a in layers)
+        # uint8 entries are finite and nonnegative; a count above 1 is a weight
+        compact = not csr and layers.dtype == np.uint8
+        is_binary = not (compact and layers.max() > 1)
+        is_symmetric = _csr_is_symmetric if csr else _is_symmetric
+        # one layer at a time, so the temporaries stay n x n (or one transpose)
+        for a in layers:
+            values = a.data if csr else a
+            if not compact and not np.isfinite(values).all():
                 raise ConfigError("adjacency entries must be finite")
-            if not _csr_is_symmetric(a):
+            if not is_symmetric(a):
                 raise ConfigError("every layer must be symmetric")
-            if (a.data < 0).any():
-                raise ConfigError("adjacency entries must be nonnegative")
-            checked.append(a)
-        layers = tuple(checked)
+            if not compact:
+                if (values < 0).any():
+                    raise ConfigError("adjacency entries must be nonnegative")
+                # a CSR layer stores no zeros, so it is binary when every value is 1
+                is_binary = is_binary and bool(
+                    (values == 1 if csr else (values == 0) | (values == 1)).all()
+                )
+        if not csr:
+            layers = layers.astype(np.uint8 if is_binary else float, copy=False)
         object.__setattr__(self, "layers", layers)
-        object.__setattr__(self, "binary", all((a.data == 1).all() for a in layers))
+        object.__setattr__(self, "binary", is_binary)
 
     @property
     def csr(self) -> bool:
@@ -237,7 +233,7 @@ class MultiLayerNetwork:
 
     @property
     def n(self) -> int:
-        return self.layers[0].shape[0] if self.csr else self.layers.shape[1]
+        return self.layers[0].shape[0]
 
     @property
     def L(self) -> int:

@@ -222,22 +222,28 @@ class TestConstructor:
             MultiLayerNetwork(layers=[self.csr(self.PATH)])
 
     @pytest.mark.parametrize(
-        "edit, message",
+        "edit, message, dense",
         [
-            (lambda a: a.indices.__setitem__(0, 3), "must be symmetric"),
-            (lambda a: a.data.__setitem__(slice(None), -1.0), "must be nonnegative"),
-            (lambda a: a.data.__setitem__(0, np.nan), "must be finite"),
-            (lambda a: a.data.__setitem__(slice(0, 2), 0.0), "no stored zeros"),
+            (lambda a: a.indices.__setitem__(0, 3), "must be symmetric", True),
+            (lambda a: a.data.__setitem__(slice(None), -1.0), "must be nonnegative", True),
+            (lambda a: a.data.__setitem__(0, np.nan), "must be finite", True),
+            (lambda a: a.data.__setitem__(slice(0, 2), 0.0), "no stored zeros", False),
             (lambda a: a.indices.__setitem__(slice(1, 3), a.indices[1:3][::-1]),
-             "sorted, distinct column indices"),
+             "sorted, distinct column indices", False),
         ],
         ids=["asymmetric", "negative", "nan", "stored-zero", "unsorted"],
     )
-    def test_checks(self, edit, message):
+    def test_checks(self, edit, message, dense):
         a = self.csr(self.PATH)
         edit(a)
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message) as raised:
             MultiLayerNetwork(layers=[self.csr(self.PATH), a])
+        if dense:
+            # a rule on values raises the same error from the dense stack
+            with pytest.raises(ConfigError) as dense_raised:
+                MultiLayerNetwork(layers=[self.PATH, a.toarray()])
+            assert type(dense_raised.value) is type(raised.value)
+            assert str(dense_raised.value) == str(raised.value)
 
     @pytest.mark.parametrize("weight", [1.0, 0.5], ids=["binary", "weighted"])
     def test_one_transpose_alive_at_a_time(self, weight):

@@ -1134,6 +1134,13 @@ class TestCli:
         assert "ParseError" in captured.err
         assert "nan" not in captured.out
 
+    def test_classify_header_only_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "pi.csv"
+        path.write_text("node,pi_1,pi_2,home,label\n")
+        assert cli_main(["classify", "--pi", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and str(path) in err
+
     def test_python_dash_m_runs_quietly(self):
         src = os.path.dirname(os.path.dirname(os.path.abspath(mlmmsb.__file__)))
         env = dict(os.environ)

@@ -79,6 +79,22 @@ class TestTypes:
         assert MultiLayerNetwork(layers=ones).binary
         assert not MultiLayerNetwork(layers=0.5 * ones).binary
 
+    @pytest.mark.parametrize(
+        "layers", [np.zeros((0, 5, 5)), np.zeros((2, 0, 0)), ()], ids=["L=0", "n=0", "no-layers"]
+    )
+    def test_network_needs_a_layer_and_a_node(self, layers):
+        with pytest.raises(DimensionError, match="shape"):
+            MultiLayerNetwork(layers=layers)
+
+    @pytest.mark.parametrize("shape", [(0, 3, 3), (2, 0, 0)], ids=["L=0", "K=0"])
+    def test_connectivity_needs_a_layer_and_a_community(self, shape):
+        with pytest.raises(ConfigError, match="at least 1"):
+            ConnectivityStack(matrices=np.zeros(shape), rho=0.1)
+
+    def test_membership_needs_a_row(self):
+        with pytest.raises(DimensionError, match="at least one row"):
+            MembershipMatrix(rows=np.zeros((0, 3)))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_membership_rejects_non_finite(self, value):
         with pytest.raises(ConfigError, match="finite"):
