@@ -99,7 +99,7 @@ def build_asum(net: MultiLayerNetwork) -> AggregateMatrix:
     return AggregateMatrix(matrix=total)
 
 
-def csr_parts(cells: np.ndarray, values, L: int, n: int) -> list:
+def _csr_parts(cells: np.ndarray, values, L: int, n: int) -> list:
     """The (data, indices, indptr) of each layer of an (L, n, n) stack, from
     the flat indices of its stored cells, sorted and distinct, and their
     values (None when binary).
@@ -121,18 +121,15 @@ def csr_parts(cells: np.ndarray, values, L: int, n: int) -> list:
     return parts
 
 
-def csr_arrays(parts, n: int) -> tuple:
-    """scipy CSR arrays of shape (n, n) from ``csr_parts``' triples.
+def _csr_arrays(parts, n: int) -> tuple:
+    """scipy CSR arrays of shape (n, n) from ``_csr_parts``' triples.
 
-    A binary layer's entries are ones: every binary layer's ``data`` is a
-    view of one read-only float64 buffer of ones, as long as the layer with
-    the most entries, so binary layers take 4 bytes per stored entry (int32
-    indices) plus that one buffer. scipy copies any index or data array
-    that is a slice of less than half its base (``_prune_array``), so
-    layers cut from one buffer of cells hold copies of their slices, and
-    a binary layer with less than half the largest one's entries its own
-    ones; ``read_multiplex_edges`` frees the cell buffer once these arrays
-    exist. int64 indices stay int64, at 4 more bytes per stored entry.
+    Every binary layer's ``data`` is a view of one read-only float64 buffer
+    of ones, as long as the largest layer, so binary layers take 4 bytes per
+    stored entry (int32 indices; int64 take 8) plus that buffer. scipy
+    copies an index or data array that is a slice of less than half its
+    base (``_prune_array``), so layers cut from one buffer of cells, and
+    binary layers below half the largest, hold their own copies.
     """
     import scipy.sparse
 
@@ -143,21 +140,41 @@ def csr_arrays(parts, n: int) -> tuple:
     return tuple(scipy.sparse.csr_array(part, shape=(n, n)) for part in parts)
 
 
-def _product_layers(net: MultiLayerNetwork) -> np.ndarray | tuple:
-    """The layers as every layer-wise product takes them: the dense stack up
-    to ``DENSE_EIG_LIMIT`` nodes, and above it scipy CSR arrays, a network's
-    own CSR layers as they are or else each dense layer from one scan of it.
+def layers_from_cells(cells: np.ndarray, values, L: int, n: int) -> np.ndarray | tuple:
+    """A read's L layers of n nodes from its stored cells, the sorted,
+    distinct flat indices into an (L, n, n) stack, and their values (None
+    when binary): up to ``DENSE_EIG_LIMIT`` nodes the zeroed stack with
+    those cells set, and above it ``_csr_arrays``, the stack never made.
     """
-    if net.n <= DENSE_EIG_LIMIT or net.csr:
+    if n > DENSE_EIG_LIMIT:
+        return _csr_arrays(_csr_parts(cells, values, L, n), n)
+    layers = np.zeros((L, n, n), dtype=np.uint8 if values is None else float)
+    # numpy casts an int32 index to intp in small buffered chunks
+    layers.reshape(-1)[cells] = 1 if values is None else values
+    return layers
+
+
+def _product_layers(net: MultiLayerNetwork) -> np.ndarray | tuple:
+    """The layers as every layer-wise product takes them: up to
+    ``DENSE_EIG_LIMIT`` nodes the dense stack, CSR layers densified one at a
+    time into ``uint8`` (binary) or float64, and above it CSR arrays, a
+    network's own or each dense layer from one scan of it.
+    """
+    if (net.n > DENSE_EIG_LIMIT) == net.csr:  # held as products take them
         return net.layers
+    if net.csr:
+        stack = np.empty((net.L, net.n, net.n), np.uint8 if net.binary else float)
+        for layer, a in zip(stack, net.layers):
+            layer[...] = a.toarray()
+        return stack
     parts = []
     for a in net.layers:
         # a binary layer holds only 0 and 1, and numpy scans bool for
         # nonzeros about twice as fast as uint8
         idx = np.flatnonzero(a.view(bool) if net.binary else a)
-        parts += csr_parts(idx, None if net.binary else a.ravel()[idx], 1, net.n)
+        parts += _csr_parts(idx, None if net.binary else a.ravel()[idx], 1, net.n)
         del idx  # else the last layer's scan outlives the loop
-    return csr_arrays(parts, net.n)
+    return _csr_arrays(parts, net.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +206,12 @@ class _SquaresOperator:
 
 
 def _sum_of_squares(net: MultiLayerNetwork) -> np.ndarray | _SquaresOperator:
-    """The sum over layers of A_l^2: formed by ``_square_sum`` on the dense
-    stack, and on CSR layers (above ``DENSE_EIG_LIMIT`` nodes) a
-    ``_SquaresOperator`` with no shift."""
-    layers = _product_layers(net)
-    if isinstance(layers, np.ndarray):
+    """The sum over layers of A_l^2: formed by ``_square_sum`` up to
+    ``DENSE_EIG_LIMIT`` nodes, and above it a ``_SquaresOperator`` on
+    ``_product_layers``' CSR arrays with no shift."""
+    if net.n <= DENSE_EIG_LIMIT:
         return _square_sum(net)
-    return _SquaresOperator(layers, np.zeros(net.n))
+    return _SquaresOperator(_product_layers(net), np.zeros(net.n))
 
 
 def _zero_diagonal(

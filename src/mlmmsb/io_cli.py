@@ -293,15 +293,8 @@ def read_multiplex_edges(
     back in ``node_ids``. Layer ids are remapped the same way, in sorted
     order, so a layer id that no line names takes no layer. Duplicate edges
     accumulate in file order; in binarize mode a cell whose sum is positive
-    is an edge, and the layers come back as ``uint8``.
-
-    Every read takes the stored cells and their values from
-    ``_stored_cells``. At most ``aggregate.DENSE_EIG_LIMIT`` nodes, they are
-    scattered into a zeroed (L, n, n) stack. Above it, where the squared
-    aggregates run on CSR layers, the layers come back as a tuple of L
-    ``scipy.sparse.csr_array`` instead, and the stack is never allocated.
-    They equal, array for array, what the aggregates would build from the
-    stack.
+    is an edge. The layers are ``aggregate.layers_from_cells`` of the stored
+    cells: a dense stack (``uint8`` when binary), or CSR arrays for large n.
     """
     try:
         with open(path) as handle:
@@ -343,12 +336,7 @@ def read_multiplex_edges(
     records = [cells, weight]
     del cells, weight
     cells, values = _stored_cells(records, L, n, binarize, drop_self_loops)
-    if n > aggregate.DENSE_EIG_LIMIT:
-        layers = aggregate.csr_arrays(aggregate.csr_parts(cells, values, L, n), n)
-    else:
-        layers = np.zeros((L, n, n), dtype=np.uint8 if values is None else float)
-        # numpy casts an int32 index to intp in small buffered chunks
-        layers.reshape(-1)[cells] = 1 if values is None else values
+    layers = aggregate.layers_from_cells(cells, values, L, n)
     del cells, values  # the layers hold what they need: free before the checks
     return MultiplexData(
         network=MultiLayerNetwork(layers=layers), node_ids=tuple(node_ids.tolist())

@@ -207,9 +207,10 @@ def estimate_k(
     A failed build raises, a failed decomposition fails every K, and a K
     where the estimator fails is skipped and recorded.
 
-    ``fsum`` scores every K as ``q_fsum`` does, against one sum of the
-    layers: SPSum's aggregate, or else a ``build_asum`` made for the first
-    K that is scored.
+    The layers take ``_product_layers``' form once, for the build and every
+    score. ``fsum`` scores every K as ``q_fsum`` does, against one sum of
+    the layers: SPSum's aggregate, or else a ``build_asum`` made for the
+    first K that is scored.
     """
     k_values = set()
     for k in map(int, k_range):
@@ -222,6 +223,9 @@ def estimate_k(
     crit = criterion.upper()
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
+    layers = _product_layers(net)
+    if layers is not net.layers:
+        net = MultiLayerNetwork(layers=layers)
     agg = build_aggregate(net, method)
     asum = agg.matrix if method.upper() == SPSUM else None
     try:

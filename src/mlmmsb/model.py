@@ -152,14 +152,12 @@ class MultiLayerNetwork:
     at n=2100, L=4), but its own arithmetic wraps past 255: cast to float
     before any sum or product that can exceed that.
 
-    Above ``aggregate.DENSE_EIG_LIMIT`` nodes, where every layer-wise product
-    runs on CSR layers, the layers may instead be a sequence of L
-    ``scipy.sparse.csr_array``, as ``read_multiplex_edges`` gives there. They
-    are kept in a tuple (``csr`` is then true), as given when their values
-    are float64 and else cast to float64, and must have sorted, distinct
-    column indices in each row and no stored zeros; ``binary`` is true when
-    every stored value is 1. One loop checks either kind of layer for finite,
-    symmetric and nonnegative entries, with the same messages.
+    The layers may instead be L ``scipy.sparse.csr_array`` at any n, kept in
+    a tuple (``csr`` is then true) and cast to float64 unless they are, with
+    sorted, distinct column indices in each row and no stored zeros;
+    ``binary`` is true when every stored value is 1. One loop checks either
+    kind of layer for finite, symmetric and nonnegative entries, with the
+    same messages.
     """
 
     layers: np.ndarray | tuple  # shape (L, n, n), uint8 if binary, else float64
@@ -189,13 +187,6 @@ class MultiLayerNetwork:
         if len(shape) != 3 or shape[1] != shape[2] or min(shape) < 1:
             raise DimensionError("network must have shape (L, n, n)")
         if csr:
-            from . import aggregate  # read at call time, so that a patched limit holds
-
-            if shape[1] <= aggregate.DENSE_EIG_LIMIT:
-                raise ConfigError(
-                    f"CSR layers are taken above {aggregate.DENSE_EIG_LIMIT} nodes only, "
-                    f"got n={shape[1]}; pass a dense stack"
-                )
             if not all(a.has_canonical_format and a.data.all() for a in layers):
                 raise ConfigError(
                     "CSR layers need sorted, distinct column indices and no stored zeros"

@@ -488,15 +488,60 @@ class TestLanczosAgainstEigh:
 
 
 def imported_modules(tree):
-    """Dotted names of every module an ast imports, or reaches by attribute."""
+    """Dotted names of every module an ast imports, or reaches by attribute;
+    ``from . import x`` names x."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            yield node.module
-            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                yield node.module
+            prefix = f"{node.module}." if node.module else ""
+            yield from (prefix + alias.name for alias in node.names)
         elif isinstance(node, ast.Attribute):
             yield ast.unparse(node)
+
+
+def names_dense_limit(tree) -> bool:
+    """Whether an ast names ``DENSE_EIG_LIMIT``, bare, imported or by attribute."""
+    names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+    names += [name.split(".")[-1] for name in imported_modules(tree)]
+    return "DENSE_EIG_LIMIT" in names
+
+
+def imports_aggregate(tree) -> bool:
+    """Whether an ast imports ``aggregate``, relatively or from ``mlmmsb``."""
+    names = imported_modules(tree)
+    return any(name.removeprefix("mlmmsb.").split(".")[0] == "aggregate" for name in names)
+
+
+class TestOnlyAggregateReadsTheLimit:
+    """``aggregate`` alone decides how products run: no other module of the
+    package names ``DENSE_EIG_LIMIT``, and ``model``, which ``aggregate``
+    imports, imports nothing from it."""
+
+    def test_package(self):
+        package = pathlib.Path(aggregate.__file__).parent
+        trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+        assert sorted(name for name, tree in trees.items() if names_dense_limit(tree)) == [
+            "aggregate.py"
+        ]
+        assert not imports_aggregate(trees["model.py"])
+
+    @pytest.mark.parametrize(
+        "source, limit",
+        [
+            ("from . import aggregate\naggregate.DENSE_EIG_LIMIT", True),
+            ("from .aggregate import DENSE_EIG_LIMIT", True),
+            ("from mlmmsb.aggregate import DENSE_EIG_LIMIT as bound", True),
+            ("import mlmmsb.aggregate", False),
+            ("from .aggregate import build_asum", False),
+        ],
+    )
+    def test_scan_sees_each_form(self, source, limit):
+        tree = ast.parse(source)
+        assert imports_aggregate(tree)
+        assert names_dense_limit(tree) == limit
 
 
 class TestBlasThroughNumpy:

@@ -7,7 +7,8 @@ public function gives on them, with the dense stack that the same file reads
 into at the real limit. A dense stack above the patched limit reaches every
 layer-wise product (SPSum's sum, the squares' operator and the per-layer
 modularities) through ``_product_layers``'s scan, so both representations
-run the same CSR arithmetic.
+run the same CSR arithmetic. At or below the real limit a CSR-held network
+is taken too, and ``_product_layers`` densifies it into the dense stack.
 """
 
 import tracemalloc
@@ -35,9 +36,12 @@ from mlmmsb import (
     q_fsum,
     read_multiplex_edges,
     sample_mlmmsb,
+    spdsos,
+    spsos,
+    spsum,
 )
 from mlmmsb.estimators import build_aggregate, estimate
-from mlmmsb.io_cli import write_multiplex_edges
+from mlmmsb.io_cli import MultiplexData, write_multiplex_edges
 
 LIMIT = 20
 N, L = 60, 3
@@ -176,11 +180,12 @@ class TestReader:
 
 
 class TestConstructor:
-    """``MultiLayerNetwork`` on CSR layers: the dense stack's checks and
-    messages, and CSR only above the limit."""
+    """``MultiLayerNetwork`` on CSR layers at any size: the dense stack's
+    checks and messages."""
 
-    @pytest.fixture(autouse=True)
+    @pytest.fixture
     def limit(self, monkeypatch):
+        """Products take these 4-node CSR layers as they are."""
         monkeypatch.setattr(aggregate, "DENSE_EIG_LIMIT", 3)
 
     @staticmethod
@@ -189,6 +194,7 @@ class TestConstructor:
 
     PATH = [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
 
+    @pytest.mark.usefixtures("limit")
     def test_binary_and_weighted(self):
         a = self.csr(self.PATH)
         net = MultiLayerNetwork(layers=[a, a])
@@ -198,6 +204,7 @@ class TestConstructor:
         weighted = MultiLayerNetwork(layers=(a, self.csr(np.multiply(self.PATH, 0.5))))
         assert weighted.csr and not weighted.binary
 
+    @pytest.mark.usefixtures("limit")
     @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float32, np.bool_])
     def test_values_held_as_float64(self, dtype):
         # a uint8 layer's squared weights wrapped past 255 in the SPDSoS
@@ -215,11 +222,6 @@ class TestConstructor:
         assert product.tobytes() == (build_ssum_debiased(want).matrix @ block).tobytes()
         pi = MembershipMatrix(rows=[[1, 0], [0.5, 0.5], [0.25, 0.75], [0, 1]])
         assert q_fmean(net, pi) == q_fmean(want, pi)
-
-    def test_refused_at_or_below_the_limit(self, monkeypatch):
-        monkeypatch.setattr(aggregate, "DENSE_EIG_LIMIT", 4)
-        with pytest.raises(ConfigError, match="above 4 nodes only"):
-            MultiLayerNetwork(layers=[self.csr(self.PATH)])
 
     @pytest.mark.parametrize(
         "edit, message, dense",
@@ -331,6 +333,88 @@ class TestPublicFunctions:
         pi = generate_membership(N, 3, 15, seed=3)
         omega = expected_adjacency(pi, generate_connectivity(3, L, seed=4, rho=0.3))
         assert compute_diagnostics(csr.network, omega) == compute_diagnostics(dense.network, omega)
+
+
+@pytest.fixture(scope="module", params=["binary", "weighted"])
+def below(request):
+    """A sampled network with self-loops at or below the real limit, held as
+    a dense stack and as a CSR copy, with its expectation."""
+    n = 300 if request.param == "binary" else 61
+    pi = generate_membership(n, 3, n // 5, seed=7)
+    conn = generate_connectivity(3, L, seed=8, rho=0.3)
+    dense = sample_mlmmsb(pi, conn, 9)
+    if request.param == "weighted":
+        weights = np.array([0.1, 1 / 3, 2.5])[np.add.outer(np.arange(n), np.arange(n)) % 3]
+        dense = MultiLayerNetwork(layers=dense.layers * weights)
+    csr = MultiLayerNetwork(layers=[scipy.sparse.csr_array(a.astype(float)) for a in dense.layers])
+    assert n <= aggregate.DENSE_EIG_LIMIT and csr.csr and not dense.csr
+    assert csr.binary == dense.binary == (request.param == "binary")
+    assert all(a.diagonal().any() for a in dense.layers)
+    return dense, csr, expected_adjacency(pi, conn)
+
+
+class TestHeldAsCsrBelowTheLimit:
+    """CSR layers at or below the limit: products take the dense stack, so
+    every public function gives the dense-held network's result, bit for bit."""
+
+    def test_product_layers_densify(self, below):
+        dense, csr, _ = below
+        layers = aggregate._product_layers(csr)
+        assert layers.dtype == dense.layers.dtype
+        assert np.array_equal(layers, dense.layers)
+
+    @pytest.mark.parametrize("estimator", [spsum, spdsos, spsos])
+    def test_estimates(self, below, estimator):
+        dense, csr, _ = below
+        got, want = estimator(csr, 3), estimator(dense, 3)
+        assert np.array_equal(got.pi_hat.rows, want.pi_hat.rows)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert got.diagnostics == want.diagnostics
+
+    def test_q_fsum_and_q_fmean(self, below):
+        dense, csr, _ = below
+        pi = spsum(dense, 3).pi_hat
+        assert q_fsum(csr, pi) == q_fsum(dense, pi)
+        assert q_fmean(csr, pi) == q_fmean(dense, pi)
+
+    @pytest.mark.parametrize("method", ["spsum", "spdsos", "spsos"])
+    @pytest.mark.parametrize("criterion", ["fsum", "fmean"])
+    def test_estimate_k(self, below, method, criterion):
+        dense, csr, _ = below
+        want = estimate_k(dense, method, range(2, 5), criterion)
+        assert estimate_k(csr, method, range(2, 5), criterion) == want
+
+    def test_write_multiplex_edges(self, below, tmp_path):
+        dense, csr, _ = below
+        ids = tuple(range(1, dense.n + 1))
+        write_multiplex_edges(MultiplexData(dense, ids), tmp_path / "dense.edges")
+        write_multiplex_edges(MultiplexData(csr, ids), tmp_path / "csr.edges")
+        assert (tmp_path / "csr.edges").read_text() == (tmp_path / "dense.edges").read_text()
+
+    def test_compute_diagnostics(self, below):
+        dense, csr, omega = below
+        assert compute_diagnostics(csr, omega) == compute_diagnostics(dense, omega)
+
+
+@pytest.mark.parametrize("criterion", ["fsum", "fmean"])
+def test_estimate_k_scans_a_dense_stack_once(monkeypatch, criterion):
+    """Above the limit ``estimate_k`` scans a dense-held network into CSR
+    layers once, for the build and every score: SPDSoS ``fmean`` over
+    K = 2..6 scanned it 6 times, once for the build and once per K."""
+    pi = generate_membership(N, 3, 15, seed=3)
+    net = sample_mlmmsb(pi, generate_connectivity(3, L, seed=4, rho=0.3), 5)
+    monkeypatch.setattr(aggregate, "DENSE_EIG_LIMIT", LIMIT)
+    scans = []
+    parts = aggregate._csr_parts
+
+    def counted(*args):
+        scans.append(args)  # one call per layer of a scan
+        return parts(*args)
+
+    monkeypatch.setattr(aggregate, "_csr_parts", counted)
+    selection = estimate_k(net, "spdsos", range(2, 7), criterion)
+    assert not selection.failures and len(selection.scores) == 5
+    assert len(scans) == L
 
 
 class TestNoDenseArray:
