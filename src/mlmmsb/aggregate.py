@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,10 +24,8 @@ class AggregateMatrix:
     """A symmetric n x n matrix aggregated across layers.
 
     ``matrix`` is a formed array up to ``DENSE_EIG_LIMIT`` nodes. Above it
-    no aggregate of a MultiLayerNetwork is formed: SPSum's sum is a scipy
-    CSR array, and the squared aggregates are a ``_SquaresOperator``. Both
-    have a ``shape`` and apply the aggregate with ``@`` to a vector or an
-    n x k block, which is all the Lanczos solver needs.
+    SPSum's sum is a scipy CSR array and the squares a ``_SquaresOperator``,
+    each with a ``shape`` and an ``@`` that is all the Lanczos solver needs.
     """
 
     matrix: np.ndarray | _SquaresOperator  # or a scipy.sparse.csr_array
@@ -56,16 +55,14 @@ class Embedding:
 def _square_sum(net: MultiLayerNetwork) -> np.ndarray:
     """Sum of A_l @ A_l over layers, in float64.
 
-    Each layer is cast into a float buffer first, since a ``uint8`` product
-    would wrap past 255; CSR layers are densified into it one at a time.
-    Binary layers are squared in float32 as A_l @ A_l.T, which is A_l @ A_l
-    for a symmetric layer and which numpy hands to BLAS ``syrk``; every
-    entry of such a square is an integer no larger than n, held exactly.
-    Their squares are added in float32 while L·n < ``FLOAT32_EXACT``: each
-    partial sum is then an integer no larger than L·n, held exactly too.
-    Weighted layers are squared and added in float64 as A_l @ A_l, and a
-    sum that overflows raises UnusableDataError. The float64 copy is made
-    once the cast and product buffers are gone.
+    Each layer from ``_dense_layers`` is cast into a float buffer, as a
+    ``uint8`` product would wrap past 255. Binary layers are squared in
+    float32 as A_l @ A_l.T (BLAS ``syrk``; A_l is symmetric), whose entries
+    are integers no larger than n, and added in float32 while
+    L·n < ``FLOAT32_EXACT``, so every partial sum is exact. Weighted layers
+    are squared and added in float64, and a sum that overflows raises
+    UnusableDataError. The float64 copy is made once the buffers and the
+    last drawn layer are gone.
     """
     n, binary = net.n, net.binary
     exact = binary and net.L * n < FLOAT32_EXACT
@@ -73,28 +70,28 @@ def _square_sum(net: MultiLayerNetwork) -> np.ndarray:
     cast = np.empty((n, n), np.float32 if binary else np.float64)
     product = np.empty_like(cast)
     with np.errstate(over="ignore"):
-        for a in net.layers:
-            np.copyto(cast, a.toarray() if net.csr else a)
+        for a in _dense_layers(net):
+            np.copyto(cast, a)
             total += np.matmul(cast, cast.T if binary else cast, out=product)
-    del cast, product
+    del cast, product, a
     if not binary and not np.isfinite(total).all():
         raise UnusableDataError("the sum of squared layers overflows float64")
     return total.astype(np.float64, copy=False)
 
 
 def build_asum(net: MultiLayerNetwork) -> AggregateMatrix:
-    """Entrywise sum of all layers; a weighted sum that overflows raises
-    UnusableDataError.
-
-    Up to ``DENSE_EIG_LIMIT`` nodes the sum is a formed float64 array. Above
-    it, it is the CSR array that adds ``_product_layers``' CSR arrays in
-    layer order, so each stored entry is the dense stack's sum bit for bit.
+    """Entrywise sum of ``_product_layers``, added in layer order to a
+    float64 copy of the first, so ``layers.sum(axis=0, dtype=float)`` bit for
+    bit: formed up to ``DENSE_EIG_LIMIT`` nodes and a CSR array above it. A
+    weighted sum that overflows, so that its nonnegative largest entry is
+    not finite, raises UnusableDataError.
     """
-    layers = _product_layers(net)
-    dense = isinstance(layers, np.ndarray)
+    layers = iter(_product_layers(net))
     with np.errstate(over="ignore"):
-        total = layers.sum(axis=0, dtype=float) if dense else sum(layers[1:], layers[0])
-    if not net.binary and not np.isfinite(total if dense else total.data).all():
+        total = next(layers).astype(float)
+        for a in layers:
+            total += a
+    if not net.binary and not np.isfinite(total.max()):
         raise UnusableDataError("the sum of layers overflows float64")
     return AggregateMatrix(matrix=total)
 
@@ -154,19 +151,26 @@ def layers_from_cells(cells: np.ndarray, values, L: int, n: int) -> np.ndarray |
     return layers
 
 
-def _product_layers(net: MultiLayerNetwork) -> np.ndarray | tuple:
-    """The layers as every layer-wise product takes them: up to
-    ``DENSE_EIG_LIMIT`` nodes the dense stack, CSR layers densified one at a
-    time into ``uint8`` (binary) or float64, and above it CSR arrays, a
-    network's own or each dense layer from one scan of it.
-    """
+def _dense_layers(net: MultiLayerNetwork) -> Iterator[np.ndarray]:
+    """Each layer as an n x n array in layer order: a dense stack's own, or
+    a CSR layer densified into one reused float64 buffer, valid until the
+    next is drawn."""
+    if not net.csr:
+        yield from net.layers
+        return
+    buffer = np.empty((net.n, net.n))
+    for a in net.layers:
+        yield a.toarray(out=buffer)
+
+
+def _product_layers(net: MultiLayerNetwork) -> np.ndarray | Iterator[np.ndarray] | tuple:
+    """The layers as every layer-wise product draws them, in layer order: up
+    to ``DENSE_EIG_LIMIT`` nodes the dense stack or ``_dense_layers``, and
+    above it CSR arrays, a network's own or one scan of its dense stack."""
     if (net.n > DENSE_EIG_LIMIT) == net.csr:  # held as products take them
         return net.layers
     if net.csr:
-        stack = np.empty((net.L, net.n, net.n), np.uint8 if net.binary else float)
-        for layer, a in zip(stack, net.layers):
-            layer[...] = a.toarray()
-        return stack
+        return _dense_layers(net)
     parts = []
     for a in net.layers:
         # a binary layer holds only 0 and 1, and numpy scans bool for
@@ -179,12 +183,10 @@ def _product_layers(net: MultiLayerNetwork) -> np.ndarray | tuple:
 
 @dataclass(frozen=True, eq=False)
 class _SquaresOperator:
-    """x -> shift * x + the sum over layers of A_l (A_l x): a sum of squared
-    CSR layers from ``_product_layers`` plus a diagonal, never formed.
-
-    ``@`` takes a vector or an n x k block, and adds the layers' products
-    in layer order. A product that is not finite (weighted layers whose
-    squares overflow float64) raises UnusableDataError.
+    """x -> shift * x + the sum over layers of A_l (A_l x), never formed, on
+    ``_product_layers``' CSR arrays. ``@`` takes a vector or an n x k block
+    and adds the layers' products in layer order; a product that is not
+    finite (weighted squares overflow float64) raises UnusableDataError.
     """
 
     layers: tuple

@@ -125,10 +125,8 @@ def q_fsum(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
 def q_fmean(net: MultiLayerNetwork, pi_hat: MembershipMatrix) -> float:
     """Average per-layer fuzzy modularity, skipping layers without edges.
 
-    Each layer is scored as ``_product_layers`` gives it: a dense layer,
-    which its product with the float64 memberships casts one ``uint8``
-    layer at a time, or above the dense limit a CSR array as it is, so no
-    n x n array is made there.
+    Each layer is scored as ``_product_layers`` draws it, so at most one
+    n x n float64 layer is made at a time, and none above the dense limit.
     """
     if pi_hat.n != net.n:
         raise DimensionError("membership and network disagree on n")
@@ -207,10 +205,10 @@ def estimate_k(
     A failed build raises, a failed decomposition fails every K, and a K
     where the estimator fails is skipped and recorded.
 
-    The layers take ``_product_layers``' form once, for the build and every
-    score. ``fsum`` scores every K as ``q_fsum`` does, against one sum of
-    the layers: SPSum's aggregate, or else a ``build_asum`` made for the
-    first K that is scored.
+    A dense stack above the dense limit is scanned into CSR once, for the
+    build and every score. ``fsum`` scores every K as ``q_fsum`` does,
+    against one sum of the layers: SPSum's aggregate, or else a
+    ``build_asum`` made for the first K that is scored.
     """
     k_values = set()
     for k in map(int, k_range):
@@ -224,7 +222,7 @@ def estimate_k(
     if crit not in (FSUM, FMEAN):
         raise ModelSelectionError(f"unknown criterion {criterion!r}")
     layers = _product_layers(net)
-    if layers is not net.layers:
+    if isinstance(layers, tuple) and layers is not net.layers:
         net = MultiLayerNetwork(layers=layers)
     agg = build_aggregate(net, method)
     asum = agg.matrix if method.upper() == SPSUM else None

@@ -82,6 +82,19 @@ class TestBuilders:
         expected = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
         assert np.array_equal(build_asum(net_of(PATH_3, edge_13)).matrix, expected)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_asum_keeps_the_stack_sum_bits(self, seed):
+        # layers that share a scale round differently when added in another
+        # order: reversed, 12 of these 20 stacks move; split in two halves, 8
+        rng = np.random.default_rng(seed)
+        L = int(rng.integers(3, 12))
+        upper = np.triu(rng.uniform(0, 1, (L, 9, 9)) * (rng.random((L, 9, 9)) < 0.6))
+        scales = 10.0 ** rng.choice([-300, -150, -1, 0, 1, 150, 300], (L, 1, 1))
+        net = MultiLayerNetwork(layers=(upper + upper.transpose(0, 2, 1)) * scales)
+        want = net.layers.sum(axis=0, dtype=float)
+        assert not net.binary and np.isfinite(want).all()
+        assert build_asum(net).matrix.tobytes() == want.tobytes()
+
     def test_debiased_zero_layer(self):
         assert np.all(build_ssum_debiased(net_of(np.zeros((3, 3)))).matrix == 0)
 
@@ -509,6 +522,29 @@ def names_dense_limit(tree) -> bool:
     return "DENSE_EIG_LIMIT" in names
 
 
+def package_trees() -> dict:
+    """The ast of every module of the package, by file name."""
+    package = pathlib.Path(aggregate.__file__).parent
+    return {path.name: ast.parse(path.read_text()) for path in sorted(package.rglob("*.py"))}
+
+
+def functions_calling(tree, method: str) -> list:
+    """The innermost function around each call of ``.method(`` in an ast, one
+    name per call site; ``<module>`` for a call outside every function."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == method:
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
 def imports_aggregate(tree) -> bool:
     """Whether an ast imports ``aggregate``, relatively or from ``mlmmsb``."""
     names = imported_modules(tree)
@@ -521,8 +557,7 @@ class TestOnlyAggregateReadsTheLimit:
     imports, imports nothing from it."""
 
     def test_package(self):
-        package = pathlib.Path(aggregate.__file__).parent
-        trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+        trees = package_trees()
         assert sorted(name for name, tree in trees.items() if names_dense_limit(tree)) == [
             "aggregate.py"
         ]
@@ -544,6 +579,35 @@ class TestOnlyAggregateReadsTheLimit:
         assert names_dense_limit(tree) == limit
 
 
+class TestOneDensifyRule:
+    """One function of the package densifies a CSR layer, and it is in
+    ``aggregate``: every product that takes a CSR layer as a dense one
+    draws it through that function."""
+
+    def test_package(self):
+        found = {
+            (file, scope)
+            for file, tree in package_trees().items()
+            for scope in functions_calling(tree, "toarray")
+        }
+        assert len(found) == 1
+        assert next(iter(found))[0] == "aggregate.py"
+
+    @pytest.mark.parametrize(
+        "source, scopes",
+        [
+            ("def f(a):\n    return a.toarray()", ["f"]),
+            ("def f(a):\n    return [b.toarray(out=x) for b in a]", ["f"]),
+            ("def f(a):\n    def g():\n        return a.toarray()\n    return g", ["g"]),
+            ("class C:\n    def f(self):\n        return self.a.toarray()", ["f"]),
+            ("f = lambda a: a.toarray()\nb = a.toarray()", ["<module>", "<module>"]),
+            ("def f(a):\n    return a.todense()", []),
+        ],
+    )
+    def test_scan_sees_each_form(self, source, scopes):
+        assert functions_calling(ast.parse(source), "toarray") == scopes
+
+
 class TestBlasThroughNumpy:
     """BLAS is reached only through numpy. ``scipy.linalg.blas`` and
     ``scipy.linalg.lapack`` link scipy's own bundled OpenBLAS, a second
@@ -559,12 +623,11 @@ class TestBlasThroughNumpy:
     FORBIDDEN = ("scipy.linalg.blas", "scipy.linalg.lapack", "scipy.sparse.linalg")
 
     def test_no_scipy_blas_or_lapack(self):
-        package = pathlib.Path(aggregate.__file__).parent
         found = []
-        for path in sorted(package.rglob("*.py")):
-            for name in imported_modules(ast.parse(path.read_text())):
+        for file, tree in package_trees().items():
+            for name in imported_modules(tree):
                 if name.startswith(self.FORBIDDEN):
-                    found.append(f"{path.name}: {name}")
+                    found.append(f"{file}: {name}")
         assert not found
 
     @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ into at the real limit. A dense stack above the patched limit reaches every
 layer-wise product (SPSum's sum, the squares' operator and the per-layer
 modularities) through ``_product_layers``'s scan, so both representations
 run the same CSR arithmetic. At or below the real limit a CSR-held network
-is taken too, and ``_product_layers`` densifies it into the dense stack.
+is taken too, and ``_product_layers`` densifies its layers one at a time.
 """
 
 import tracemalloc
@@ -354,14 +354,17 @@ def below(request):
 
 
 class TestHeldAsCsrBelowTheLimit:
-    """CSR layers at or below the limit: products take the dense stack, so
-    every public function gives the dense-held network's result, bit for bit."""
+    """CSR layers at or below the limit: products take each layer densified,
+    so every public function gives the dense-held network's result, bit for
+    bit."""
 
     def test_product_layers_densify(self, below):
+        # each drawn layer is valid until the next is drawn, so it is copied
         dense, csr, _ = below
-        layers = aggregate._product_layers(csr)
-        assert layers.dtype == dense.layers.dtype
-        assert np.array_equal(layers, dense.layers)
+        drawn = [layer.copy() for layer in aggregate._product_layers(csr)]
+        assert len(drawn) == dense.L
+        for l, layer in enumerate(drawn):
+            assert np.array_equal(layer, dense.layers[l])
 
     @pytest.mark.parametrize("estimator", [spsum, spdsos, spsos])
     def test_estimates(self, below, estimator):
@@ -417,6 +420,15 @@ def test_estimate_k_scans_a_dense_stack_once(monkeypatch, criterion):
     assert len(scans) == L
 
 
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestNoDenseArray:
     """Above the real limit SPSum's sum and the per-layer modularities hold
     no n x n array: a scatter into a formed sum, or one float64 buffer for
@@ -433,14 +445,32 @@ class TestNoDenseArray:
         net = MultiLayerNetwork(layers=layers)
         assert net.csr and not net.binary and sum(a.nnz for a in layers) < 10_000
         pi = generate_membership(n, 3, 300, seed=1)
-        for run in (lambda: build_asum(net), lambda: q_fmean(net, pi)):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < n * n
+        assert traced_peak(lambda: build_asum(net)) < n * n
+        assert traced_peak(lambda: q_fmean(net, pi)) < n * n
+
+
+class TestOneDenseLayerBelowTheLimit:
+    """At or below the real limit products draw a CSR-held network's layers
+    densified one at a time into one n x n float64 buffer (8 n^2 bytes, 8 MB
+    here), so no (L, n, n) stack is made: ``build_asum`` holds that buffer
+    and the float64 sum, and ``q_fmean`` the buffer alone. A densified
+    stack of these 16 layers took 3 * 8 n^2 in each."""
+
+    def test_build_asum_and_q_fmean_peaks(self):
+        n, layer_count = 1000, 16
+        rng = np.random.default_rng(12)
+        layers = []
+        for _ in range(layer_count):
+            cells = rng.integers(0, n, (2, 5 * n))
+            upper = scipy.sparse.coo_array((np.ones(5 * n), cells), shape=(n, n))
+            layer = (upper + upper.T).tocsr()
+            layer.data[:] = 1.0  # a repeated or diagonal cell sums past 1
+            layers.append(layer)
+        net = MultiLayerNetwork(layers=layers)
+        assert net.csr and net.binary and n <= aggregate.DENSE_EIG_LIMIT
+        pi = generate_membership(n, 3, 200, seed=1)
+        assert traced_peak(lambda: build_asum(net)) < 2.5 * 8 * n * n
+        assert traced_peak(lambda: q_fmean(net, pi)) < 1.5 * 8 * n * n
 
 
 class TestCli:
